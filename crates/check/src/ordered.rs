@@ -71,8 +71,8 @@ pub mod rank {
     pub const SERVER_HEALTH: Rank = Rank::new(510, "server.health");
     /// `PolicyIndex` distribution (sampling-table) cache.
     pub const INDEX_DISTRIBUTIONS: Rank = Rank::new(600, "index.distributions");
-    /// `PolicyIndex` distance-row cache.
-    pub const INDEX_ROWS: Rank = Rank::new(610, "index.rows");
+    /// `PolicyIndex` distance-ring cache.
+    pub const INDEX_RINGS: Rank = Rank::new(610, "index.rings");
     /// `PolicyIndex` calibration memo.
     pub const INDEX_CALIBRATIONS: Rank = Rank::new(620, "index.calibrations");
     /// `PolicyIndex` prepared-hull memos (slots are never nested).

@@ -8,11 +8,16 @@
 //! first and rebuilt everything else forever.
 //!
 //! O(1) `get`/`insert` via a slab-backed doubly-linked recency list.
+//!
+//! [`SharedLru`] puts one behind a rank-ordered mutex and makes misses
+//! **single-flight**: concurrent misses on one key build its value once.
 
+use panda_check::ordered::{OrderedMutex, Rank};
 use panda_obs::Counter;
 // panda-check: allow(unordered_iter): key->slot lookup only; recency order lives in the slab list
 use std::collections::HashMap;
 use std::hash::Hash;
+use std::sync::{Arc, OnceLock};
 
 /// Sentinel for "no slot".
 const NIL: usize = usize::MAX;
@@ -228,9 +233,138 @@ impl<K: Eq + Hash + Clone, V: Clone> WeightedLru<K, V> {
     }
 }
 
+/// A [`WeightedLru`] behind a rank-ordered mutex, with single-flight
+/// builds. The first thread to miss a key leaves an in-flight slot for it
+/// under the lock and builds outside the lock; threads that miss the same
+/// key meanwhile park on that slot (and count as hits). So a key costs one
+/// miss and one build per residency, however many threads want it at once.
+#[derive(Debug)]
+pub(crate) struct SharedLru<K, V> {
+    state: OrderedMutex<Flights<K, V>>,
+}
+
+#[derive(Debug)]
+struct Flights<K, V> {
+    lru: WeightedLru<K, V>,
+    // panda-check: allow(unordered_iter): keyed lookup only, never iterated
+    building: HashMap<K, Arc<OnceLock<V>>>,
+}
+
+impl<K: Eq + Hash + Clone, V: Clone> SharedLru<K, V> {
+    /// An empty cache with the given total-weight capacity, locked at `rank`.
+    pub(crate) fn new(rank: Rank, capacity: usize) -> Self {
+        SharedLru {
+            state: OrderedMutex::new(
+                rank,
+                Flights {
+                    lru: WeightedLru::new(capacity),
+                    // panda-check: allow(unordered_iter): keyed lookup only, never iterated
+                    building: HashMap::new(),
+                },
+            ),
+        }
+    }
+
+    /// The cached value for `key`, or the value one `build` call produces:
+    /// concurrent callers missing the same key share that one build. The
+    /// built value is retained with weight `weight(&value)`.
+    pub(crate) fn get_or_build(
+        &self,
+        key: K,
+        build: impl FnOnce() -> V,
+        weight: impl FnOnce(&V) -> usize,
+    ) -> V {
+        let slot = {
+            let mut state = self.state.lock();
+            if let Some(slot) = state.building.get(&key).cloned() {
+                state.lru.counters().hits.inc();
+                drop(state);
+                // Parks until the builder is done (or builds, if it got here
+                // first: either way the slot runs exactly one `build`).
+                return slot.get_or_init(build).clone();
+            }
+            if let Some(value) = state.lru.get(&key) {
+                return value;
+            }
+            let slot = Arc::new(OnceLock::new());
+            state.building.insert(key.clone(), Arc::clone(&slot));
+            slot
+        };
+        let value = slot.get_or_init(build).clone();
+        let mut state = self.state.lock();
+        state.building.remove(&key);
+        let weight = weight(&value);
+        state.lru.insert(key, value.clone(), weight);
+        value
+    }
+
+    /// Runs `f` on the cache under its lock (stats, sizes, iteration).
+    pub(crate) fn read<R>(&self, f: impl FnOnce(&WeightedLru<K, V>) -> R) -> R {
+        f(&self.state.lock().lru)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use panda_check::ordered::rank;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    #[test]
+    fn concurrent_misses_on_one_key_build_once() {
+        const THREADS: usize = 8;
+        let cache: SharedLru<u32, Arc<u64>> = SharedLru::new(rank::INDEX_RINGS, 100);
+        let builds = AtomicUsize::new(0);
+        let values: Vec<u64> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    s.spawn(|| {
+                        let v = cache.get_or_build(
+                            7,
+                            || {
+                                builds.fetch_add(1, Ordering::SeqCst);
+                                // Finish only once every other thread has
+                                // found this build in flight.
+                                while cache.read(|lru| lru.stats().hits) < THREADS as u64 - 1 {
+                                    std::thread::yield_now();
+                                }
+                                Arc::new(49)
+                            },
+                            |_| 1,
+                        );
+                        *v
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        assert!(values.iter().all(|&v| v == 49));
+        assert_eq!(builds.load(Ordering::SeqCst), 1, "one build per key");
+        let stats = cache.read(|lru| lru.stats());
+        assert_eq!(stats.misses, 1, "one miss per key");
+        assert_eq!(stats.hits, THREADS as u64 - 1, "the rest wait on the build");
+        assert_eq!(cache.read(|lru| lru.len()), 1);
+    }
+
+    #[test]
+    fn shared_lru_rebuilds_after_eviction_and_skips_oversized() {
+        let cache: SharedLru<u32, u32> = SharedLru::new(rank::INDEX_RINGS, 4);
+        let mut builds = 0;
+        for k in [1, 2, 1, 3, 1] {
+            cache.get_or_build(
+                k,
+                || {
+                    builds += 1;
+                    k * 10
+                },
+                |_| 2,
+            );
+        }
+        // 1, 2 built; 1 hits; 3 evicts 2; 1 still hits.
+        assert_eq!(builds, 3);
+        assert_eq!(cache.get_or_build(9, || 90, |_| 5), 90, "served");
+        assert_eq!(cache.get_or_build(9, || 91, |_| 5), 91, "never retained");
+    }
 
     #[test]
     fn hit_miss_and_weight_accounting() {

@@ -3,27 +3,36 @@
 //! Every PGLP mechanism (§3.1) samples from a distribution shaped by the
 //! policy-graph distances `d_G(s, ·)`. The [`crate::policy`] layer
 //! tabulates those distances (lazily per component); this module adds the
-//! second cache level — **per-`(mechanism, ε, cell)` output distributions
-//! compiled into sampling tables** — so releasing a whole trajectory costs
-//! one table build per distinct `(mechanism, ε, cell)` and then O(1)–O(log
-//! k) per report. Small supports use a cumulative table (inverse-CDF binary
-//! search); supports of at least [`SamplingTable::ALIAS_THRESHOLD`] cells
-//! are compiled into a Vose **alias table** for O(1) draws.
+//! second cache level, in two kinds:
+//!
+//! * **Distance rings** ([`DistanceRings`]), one per true cell and shared
+//!   by every ε: the cell's component grouped by `d_G(s, ·)`. The
+//!   graph-exponential mechanism's weight depends on `z` only through that
+//!   distance, so it samples a ring from a cumulative array with one entry
+//!   per ring and a cell uniformly inside it. Building rings needs no
+//!   `exp`; resolving an ε needs one.
+//! * **Sampling tables** ([`SamplingTable`]), one per `(mechanism, ε,
+//!   cell)`, for the other closed-form mechanisms. Small supports use a
+//!   cumulative table (inverse-CDF binary search); supports of at least
+//!   [`SamplingTable::ALIAS_THRESHOLD`] cells are compiled into a Vose
+//!   **alias table** for O(1) draws.
+//!
+//! Both caches are weighted LRUs with single-flight builds.
 //!
 //! A [`PolicyIndex`] wraps one policy and owns *all* per-policy mechanism
-//! state: the distribution cache (proper LRU eviction under a total-entry
-//! budget), per-component calibration lengths (Laplace-style mechanisms),
-//! and per-component prepared sensitivity hulls (the Planar Isotropic
+//! state: the ring and distribution caches, per-component calibration
+//! lengths (Laplace-style mechanisms), and per-component prepared
+//! sensitivity hulls (the Planar Isotropic
 //! Mechanism). Servers and clients build it once per policy assignment and
 //! feed it to [`Mechanism::perturb_batch`](crate::mech::Mechanism::perturb_batch);
 //! experiment harnesses build one per swept policy. All caches are
 //! thread-safe, so one index can serve concurrent report streams — this is
 //! what [`crate::release::ParallelReleaser`] relies on.
 
-use crate::cache::{CacheStats, WeightedLru};
+use crate::cache::{CacheStats, SharedLru};
 use crate::mech::pim::PreparedHull;
 use crate::policy::LocationPolicyGraph;
-use panda_check::ordered::{rank, OrderedMutex, OrderedRwLock};
+use panda_check::ordered::{rank, OrderedRwLock};
 use panda_geo::CellId;
 use panda_obs::{Counter, Registry};
 use rand::Rng;
@@ -232,24 +241,111 @@ impl SamplingTable {
     }
 }
 
+/// The component of one true cell `s`, grouped into rings by `d_G(s, ·)`.
+///
+/// `cells` lists the component in (distance, member order) order; ring `r`
+/// is `cells[starts[r]..starts[r + 1]]`, every cell of it at distance
+/// `dists[r]`. Only non-empty rings are stored, in increasing distance, so
+/// ring 0 is `[s]`. Rings are ε-independent: every ε reuses them.
+#[derive(Debug, PartialEq, Eq)]
+pub struct DistanceRings {
+    cells: Box<[CellId]>,
+    starts: Box<[u32]>,
+    dists: Box<[u32]>,
+}
+
+impl DistanceRings {
+    /// The rings of `s`, from one distance row of its component (dense-row
+    /// copy, hub-label join, or one BFS) and an O(n) counting sort.
+    pub(crate) fn build(policy: &LocationPolicyGraph, s: CellId) -> Self {
+        let mut row = Vec::new();
+        if policy.component_row_u16(s, &mut row) {
+            Self::from_distances(policy.component_slice(s), &row)
+        } else {
+            // Gigantic unindexed component: distances may exceed u16.
+            let (cells, dists): (Vec<CellId>, Vec<u32>) =
+                policy.component_distances(s).into_iter().unzip();
+            Self::from_distances(&cells, &dists)
+        }
+    }
+
+    /// Groups `cells` by their distances `dist[i]` (a stable counting sort,
+    /// so each ring keeps the order of `cells`).
+    fn from_distances<D: Copy + Into<u32>>(cells: &[CellId], dist: &[D]) -> Self {
+        debug_assert_eq!(cells.len(), dist.len());
+        let max = dist.iter().map(|&d| d.into()).max().unwrap_or(0) as usize;
+        // `offset[d]` = cells at distance < d, then the write cursor of d.
+        let mut offset = vec![0u32; max + 2];
+        for &d in dist {
+            offset[d.into() as usize + 1] += 1;
+        }
+        let mut starts = Vec::new();
+        let mut dists = Vec::new();
+        for d in 0..=max {
+            if offset[d + 1] > 0 {
+                starts.push(offset[d]);
+                dists.push(d as u32);
+            }
+            offset[d + 1] += offset[d];
+        }
+        starts.push(cells.len() as u32);
+        let mut sorted = vec![CellId(0); cells.len()];
+        for (&c, &d) in cells.iter().zip(dist) {
+            let cursor = &mut offset[d.into() as usize];
+            sorted[*cursor as usize] = c;
+            *cursor += 1;
+        }
+        DistanceRings {
+            cells: sorted.into(),
+            starts: starts.into(),
+            dists: dists.into(),
+        }
+    }
+
+    /// The whole component, in (distance, member order) order.
+    pub fn cells(&self) -> &[CellId] {
+        &self.cells
+    }
+
+    /// Number of non-empty rings.
+    pub fn n_rings(&self) -> usize {
+        self.dists.len()
+    }
+
+    /// The cells of ring `r`, in member order.
+    pub fn ring(&self, r: usize) -> &[CellId] {
+        &self.cells[self.starts[r] as usize..self.starts[r + 1] as usize]
+    }
+
+    /// The distance `d_G(s, ·)` shared by every cell of ring `r`.
+    pub fn ring_distance(&self, r: usize) -> u32 {
+        self.dists[r]
+    }
+
+    /// Heap bytes of the rings (cells, offsets, distances).
+    pub fn memory_bytes(&self) -> usize {
+        self.cells.len() * std::mem::size_of::<CellId>()
+            + (self.starts.len() + self.dists.len()) * std::mem::size_of::<u32>()
+    }
+}
+
 /// Precomputed sampling state for one policy: distance tables (shared with
-/// the policy), interned component slices, an LRU cache of
-/// per-`(mechanism, ε, cell)` sampling tables, per-component calibration
-/// lengths, and per-component prepared PIM sensitivity hulls.
+/// the policy), interned component slices, an LRU cache of per-cell
+/// distance rings, an LRU cache of per-`(mechanism, ε, cell)` sampling
+/// tables, per-component calibration lengths, and per-component prepared
+/// PIM sensitivity hulls.
 #[derive(Debug)]
 pub struct PolicyIndex {
     policy: LocationPolicyGraph,
-    distributions: OrderedMutex<WeightedLru<DistKey, Arc<SamplingTable>>>,
-    /// Per-cell member-order distance rows, shared across every
-    /// `(mechanism, ε)` pair that shapes a distribution over the same true
-    /// cell — an ε schedule pays for each cell's row once, not once per
-    /// step. Weighted by row length (entries = `u16`s).
-    rows: OrderedMutex<WeightedLru<CellId, Arc<[u16]>>>,
-    /// Lifetime count of [`PolicyIndex::distribution`] lookups — i.e. of
-    /// distribution-cache mutex acquisitions (a cold miss re-acquires the
-    /// lock briefly to insert, still counted as the one touch its lookup
-    /// was). The release engine's per-lane sampler memos keep this at one
-    /// touch per distinct `(mechanism, ε, cell)` per lane; tests assert it.
+    distributions: SharedLru<DistKey, Arc<SamplingTable>>,
+    /// Per-cell distance rings, shared by every ε — an ε schedule pays for
+    /// each cell's rings once, not once per step. Weighted in bytes.
+    rings: SharedLru<CellId, Arc<DistanceRings>>,
+    /// Lifetime count of ring and distribution lookups — i.e. of cache
+    /// mutex acquisitions (a cold miss re-acquires the lock briefly to
+    /// insert, still counted as the one touch its lookup was). The release
+    /// engine's per-lane sampler memos keep this at one touch per distinct
+    /// `(mechanism, ε, cell)` per lane; tests assert it.
     dist_touches: Counter,
     /// `calibrations[component]`: `None` = not yet computed,
     /// `Some(None)` = singleton component (exact release),
@@ -270,17 +366,18 @@ impl PolicyIndex {
         Self::with_cache_capacity(policy, Self::MAX_CACHED_ENTRIES)
     }
 
-    /// Indexes a policy with an explicit distribution-cache budget, in
-    /// table entries (Σ support sizes across retained tables).
+    /// Indexes a policy with an explicit cache budget, in table entries
+    /// (Σ support sizes across retained tables). The ring cache gets
+    /// [`PolicyIndex::RING_BYTES_PER_ENTRY`] bytes per entry of it.
     pub fn with_cache_capacity(policy: LocationPolicyGraph, max_cached_entries: usize) -> Self {
         let n_components = policy.n_components() as usize;
         PolicyIndex {
             policy,
-            distributions: OrderedMutex::new(
-                rank::INDEX_DISTRIBUTIONS,
-                WeightedLru::new(max_cached_entries),
+            distributions: SharedLru::new(rank::INDEX_DISTRIBUTIONS, max_cached_entries),
+            rings: SharedLru::new(
+                rank::INDEX_RINGS,
+                max_cached_entries.saturating_mul(Self::RING_BYTES_PER_ENTRY),
             ),
-            rows: OrderedMutex::new(rank::INDEX_ROWS, WeightedLru::new(max_cached_entries)),
             dist_touches: Counter::new(),
             calibrations: OrderedRwLock::new(rank::INDEX_CALIBRATIONS, vec![None; n_components]),
             pim_hulls: [
@@ -316,10 +413,18 @@ impl PolicyIndex {
     /// retention).
     pub const MAX_CACHED_ENTRIES: usize = 1 << 24;
 
+    /// Ring-cache bytes per entry of the cache budget: the 16 B an alias
+    /// table spends per support cell. The default ring budget (256 MiB)
+    /// thus sits inside the 288 MiB that per-ε alias tables (16 B/entry)
+    /// plus `u16` distance rows (2 B/entry) were allowed before rings
+    /// replaced both for the graph-exponential mechanism. A ring costs
+    /// 4 B per component cell, plus 8 B per ring.
+    pub const RING_BYTES_PER_ENTRY: usize = 16;
+
     /// The cached sampling table for `(mech, eps, cell)`, building it with
     /// `build` on first use (and after eviction). `build` receives the
     /// indexed policy and returns the mechanism's closed-form output
-    /// weights over the support.
+    /// weights over the support. Concurrent misses on one key build once.
     pub fn distribution(
         &self,
         mech: &'static str,
@@ -333,41 +438,25 @@ impl PolicyIndex {
             eps_bits: eps.to_bits(),
             cell,
         };
-        if let Some(table) = self.distributions.lock().get(&key) {
-            return table;
-        }
-        // Built outside the lock: concurrent misses on the same key may
-        // build twice, but never block each other on the build.
-        let table = Arc::new(SamplingTable::from_weights(build(&self.policy)));
-        self.distributions
-            .lock()
-            .insert(key, Arc::clone(&table), table.cells().len());
-        table
+        self.distributions.get_or_build(
+            key,
+            || Arc::new(SamplingTable::from_weights(build(&self.policy))),
+            |table| table.cells().len(),
+        )
     }
 
-    /// The cached member-order distance row of `cell`: `row[i]` is
-    /// `d_G(cell, component_slice(cell)[i])`. Built on first use from the
+    /// The cached [`DistanceRings`] of `cell`. Built on first use from the
     /// policy's distance index (dense-row copy, hub-label join, or one BFS)
-    /// and retained in a weighted LRU, so mechanisms shaping distributions
-    /// over the same cell at different ε — or different mechanisms over
-    /// the same cell — share one row instead of re-deriving distances.
-    ///
-    /// Returns `None` only for components whose distances cannot be
-    /// represented in `u16` (over 65535 cells *and* unindexed); callers
-    /// fall back to [`LocationPolicyGraph::component_distances`].
-    pub fn distance_row(&self, cell: CellId) -> Option<Arc<[u16]>> {
-        if let Some(row) = self.rows.lock().get(&cell) {
-            return Some(row);
-        }
-        // Built outside the lock, like the distribution tables: concurrent
-        // misses on one cell may build twice but never block each other.
-        let mut buf = Vec::new();
-        if !self.policy.component_row_u16(cell, &mut buf) {
-            return None;
-        }
-        let row: Arc<[u16]> = buf.into();
-        self.rows.lock().insert(cell, Arc::clone(&row), row.len());
-        Some(row)
+    /// and retained in a byte-weighted LRU, so every ε over the same cell
+    /// shares one build. Concurrent misses on one cell build once. Counts
+    /// as one touch, like [`PolicyIndex::distribution`].
+    pub fn distance_row(&self, cell: CellId) -> Arc<DistanceRings> {
+        self.dist_touches.inc();
+        self.rings.get_or_build(
+            cell,
+            || Arc::new(DistanceRings::build(&self.policy, cell)),
+            |rings| rings.memory_bytes(),
+        )
     }
 
     /// Cached calibration length of the component of `cell`: the longest
@@ -409,9 +498,9 @@ impl PolicyIndex {
         }
     }
 
-    /// Number of distribution-cache lookups (= cache-mutex touches) since
-    /// construction (diagnostics). Under cell-concentrated streaming load
-    /// this is the contention metric: the sampler-handle release paths
+    /// Number of ring and distribution lookups (= cache-mutex touches)
+    /// since construction (diagnostics). Under cell-concentrated streaming
+    /// load this is the contention metric: the sampler-handle release paths
     /// bound it by `lanes × distinct cells` per flush, where the per-report
     /// path paid one touch per report.
     pub fn distribution_cache_touches(&self) -> u64 {
@@ -420,33 +509,32 @@ impl PolicyIndex {
 
     /// Adopts the index's live cache counters into `registry` under
     /// `panda_index_*` names (adopt-replace: re-registering after a policy
-    /// switch re-points the scrape plane at the new index's handles).
+    /// switch re-points the scrape plane at the new index's handles). The
+    /// ring cache keeps the `row_cache` names of the row cache it replaced.
     pub fn register_metrics(&self, registry: &Registry) {
         registry.register_counter("panda_index_distribution_touches_total", &self.dist_touches);
-        {
-            let dist = self.distributions.lock();
-            let c = dist.counters();
+        self.distributions.read(|lru| {
+            let c = lru.counters();
             registry.register_counter("panda_index_dist_cache_hits_total", &c.hits);
             registry.register_counter("panda_index_dist_cache_misses_total", &c.misses);
             registry.register_counter("panda_index_dist_cache_evictions_total", &c.evictions);
-        }
-        {
-            let rows = self.rows.lock();
-            let c = rows.counters();
+        });
+        self.rings.read(|lru| {
+            let c = lru.counters();
             registry.register_counter("panda_index_row_cache_hits_total", &c.hits);
             registry.register_counter("panda_index_row_cache_misses_total", &c.misses);
             registry.register_counter("panda_index_row_cache_evictions_total", &c.evictions);
-        }
+        });
     }
 
     /// Number of distribution tables currently cached (diagnostics).
     pub fn n_cached_distributions(&self) -> usize {
-        self.distributions.lock().len()
+        self.distributions.read(|lru| lru.len())
     }
 
     /// Total entries across currently cached tables (diagnostics).
     pub fn cached_entry_weight(&self) -> usize {
-        self.distributions.lock().weight()
+        self.distributions.read(|lru| lru.weight())
     }
 
     /// Number of prepared PIM hulls currently cached, across both sampling
@@ -460,21 +548,22 @@ impl PolicyIndex {
 
     /// Lifetime hit/miss/eviction counters of the distribution cache.
     pub fn distribution_cache_stats(&self) -> CacheStats {
-        self.distributions.lock().stats()
+        self.distributions.read(|lru| lru.stats())
     }
 
-    /// Lifetime hit/miss/eviction counters of the distance-row cache.
+    /// Lifetime hit/miss/eviction counters of the distance-ring cache
+    /// ([`PolicyIndex::distance_row`]).
     pub fn row_cache_stats(&self) -> CacheStats {
-        self.rows.lock().stats()
+        self.rings.read(|lru| lru.stats())
     }
 
-    /// Number of distance rows currently cached (diagnostics).
+    /// Number of cells whose distance rings are cached (diagnostics).
     pub fn n_cached_rows(&self) -> usize {
-        self.rows.lock().len()
+        self.rings.read(|lru| lru.len())
     }
 
     /// Exact heap bytes held by the index's caches right now: compiled
-    /// sampling tables, distance rows, and the per-component
+    /// sampling tables, distance rings, and the per-component
     /// calibration/hull slot vectors. Excludes the policy's distance index
     /// itself (see [`panda_graph::ComponentDistances::memory_bytes`]) —
     /// together the two numbers are the memory story a capacity planner
@@ -482,16 +571,10 @@ impl PolicyIndex {
     pub fn cache_memory_bytes(&self) -> usize {
         let tables: usize = self
             .distributions
-            .lock()
-            .iter_values()
-            .map(|t| t.memory_bytes())
-            .sum();
+            .read(|lru| lru.iter_values().map(|t| t.memory_bytes()).sum());
         let rows: usize = self
-            .rows
-            .lock()
-            .iter_values()
-            .map(|r| r.len() * std::mem::size_of::<u16>())
-            .sum();
+            .rings
+            .read(|lru| lru.iter_values().map(|r| r.memory_bytes()).sum());
         let n_components = self.policy.n_components() as usize;
         let slots = n_components
             * (std::mem::size_of::<Option<Option<f64>>>()
@@ -738,23 +821,78 @@ mod tests {
         assert_eq!(iso.calibration_length(CellId(0)), None);
     }
 
+    /// Rings partition the component by exact distance, in increasing
+    /// distance, each ring in member order, with ring 0 = the cell itself.
+    fn assert_rings_exact(policy: &LocationPolicyGraph, s: CellId, rings: &DistanceRings) {
+        let mut all: Vec<CellId> = rings.cells().to_vec();
+        all.sort_unstable();
+        assert_eq!(all, policy.component_slice(s), "rings cover the component");
+        assert_eq!(rings.ring(0), &[s]);
+        for r in 0..rings.n_rings() {
+            let d = rings.ring_distance(r);
+            assert!(r == 0 || d > rings.ring_distance(r - 1));
+            let ring = rings.ring(r);
+            assert!(!ring.is_empty());
+            assert!(ring.windows(2).all(|w| w[0] < w[1]), "member order");
+            assert!(ring.iter().all(|&c| policy.distance(s, c) == Some(d)));
+        }
+    }
+
     #[test]
     fn distance_rows_cached_and_correct() {
         let index = PolicyIndex::new(policy());
-        let row = index.distance_row(CellId(0)).unwrap();
-        let expect: Vec<(CellId, u32)> = index.policy().component_distances(CellId(0));
-        assert_eq!(row.len(), expect.len());
-        for (&(_, d_exact), &d_row) in expect.iter().zip(row.iter()) {
-            assert_eq!(d_exact, u32::from(d_row));
-        }
+        let rings = index.distance_row(CellId(0));
+        assert_rings_exact(index.policy(), CellId(0), &rings);
         // Second touch hits the cache.
-        let _ = index.distance_row(CellId(0));
+        let again = index.distance_row(CellId(0));
+        assert!(Arc::ptr_eq(&rings, &again));
         let stats = index.row_cache_stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
         assert_eq!(index.n_cached_rows(), 1);
-        // A different cell of the same component is its own row.
+        // A different cell of the same component has its own rings.
         let _ = index.distance_row(CellId(1));
         assert_eq!(index.n_cached_rows(), 2);
+    }
+
+    #[test]
+    fn rings_are_exact_on_a_geo_policy() {
+        let p = LocationPolicyGraph::g1_geo_indistinguishability(GridMap::new(7, 5, 100.0));
+        for s in [CellId(0), CellId(17), CellId(34)] {
+            let rings = DistanceRings::build(&p, s);
+            assert_rings_exact(&p, s, &rings);
+            assert_eq!(rings.memory_bytes(), 35 * 4 + (2 * rings.n_rings() + 1) * 4);
+        }
+    }
+
+    #[test]
+    fn ring_counting_sort_skips_empty_distances() {
+        let cells = [CellId(10), CellId(11), CellId(12), CellId(13)];
+        let rings = DistanceRings::from_distances(&cells, &[2u32, 0, 2, 5]);
+        assert_eq!(rings.n_rings(), 3);
+        assert_eq!(rings.ring(0), &[CellId(11)]);
+        assert_eq!(rings.ring(1), &[CellId(10), CellId(12)]);
+        assert_eq!(rings.ring(2), &[CellId(13)]);
+        let dists: Vec<u32> = (0..3).map(|r| rings.ring_distance(r)).collect();
+        assert_eq!(dists, vec![0, 2, 5]);
+    }
+
+    #[test]
+    fn concurrent_ring_misses_build_once() {
+        let index = PolicyIndex::new(LocationPolicyGraph::g1_geo_indistinguishability(
+            GridMap::new(32, 32, 10.0),
+        ));
+        let start = std::sync::Barrier::new(8);
+        std::thread::scope(|s| {
+            for _ in 0..8 {
+                s.spawn(|| {
+                    start.wait();
+                    index.distance_row(CellId(99));
+                });
+            }
+        });
+        let stats = index.row_cache_stats();
+        assert_eq!((stats.misses, stats.hits), (1, 7));
+        assert_eq!(index.distribution_cache_touches(), 8);
     }
 
     #[test]
@@ -767,9 +905,13 @@ mod tests {
                 .unwrap();
         }
         let stats = index.row_cache_stats();
-        assert_eq!(stats.misses, 1, "five ε steps must derive the row once");
+        assert_eq!(stats.misses, 1, "five ε steps must build the rings once");
         assert_eq!(stats.hits, 4);
-        assert_eq!(index.n_cached_distributions(), 5, "one table per ε");
+        assert_eq!(
+            index.n_cached_distributions(),
+            0,
+            "GEM draws from rings, never from per-ε tables"
+        );
     }
 
     #[test]
@@ -782,8 +924,8 @@ mod tests {
                 .output_distribution(p, 1.0, CellId(0))
                 .unwrap()
         });
-        let row = index.distance_row(CellId(0)).unwrap();
-        let expect = base + table.memory_bytes() + row.len() * 2;
+        let rings = index.distance_row(CellId(0));
+        let expect = base + table.memory_bytes() + rings.memory_bytes();
         assert_eq!(index.cache_memory_bytes(), expect);
         let stats = index.distribution_cache_stats();
         assert_eq!((stats.hits, stats.misses), (0, 1));

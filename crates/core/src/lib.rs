@@ -20,9 +20,10 @@
 //!   Planar Isotropic Mechanism (K-norm noise over the sensitivity hull) and
 //!   baselines.
 //! * [`index`] — the [`PolicyIndex`] bulk-release fast path: LRU-cached
-//!   per-`(mechanism, ε, cell)` sampling tables (alias-compiled for large
-//!   supports) over the policy's lazily-built distance tables, consumed by
-//!   [`Mechanism::perturb_batch`].
+//!   per-cell distance rings (the graph-exponential mechanism's ε-free
+//!   state) and per-`(mechanism, ε, cell)` sampling tables (alias-compiled
+//!   for large supports) over the policy's lazily-built distance tables,
+//!   consumed by [`Mechanism::perturb_batch`].
 //! * [`release`] — the [`release::ParallelReleaser`]: deterministic
 //!   multi-threaded bulk release over one shared [`PolicyIndex`], running on
 //!   the persistent [`release::pool::ReleasePool`] (workers parked between
@@ -48,7 +49,7 @@ pub mod timeline;
 
 pub use cache::CacheStats;
 pub use error::PglpError;
-pub use index::{PolicyIndex, SamplingTable};
+pub use index::{DistanceRings, PolicyIndex, SamplingTable};
 pub use mech::{
     CellSampler, EuclideanExponential, GraphCalibratedLaplace, GraphExponential, IdentityMechanism,
     Mechanism, PlanarIsotropic, PlanarLaplace, SamplerMemo, UniformComponent,

@@ -15,14 +15,20 @@
 //! e^ε·Pr[A(s′)=z]` — exactly Def. 2.4. Lemma 2.1 then lifts the guarantee
 //! to `ε·d_G` for arbitrary `∞`-neighbours. Isolated nodes form singleton
 //! components and are released exactly, as the paper prescribes.
+//!
+//! **Sampling by distance rings.** The weight depends on `z` only through
+//! the integer `d_G(s, z)`, so the mechanism draws a ring of equidistant
+//! cells ([`DistanceRings`]) with probability ∝ `|ring|·exp(−ε·d/2)`, then a
+//! cell of that ring uniformly — exactly the distribution above, from
+//! ε-free per-cell state and with no `exp` per cell.
 
 use crate::error::PglpError;
-use crate::index::PolicyIndex;
-use crate::mech::{validate, Mechanism};
+use crate::index::{DistanceRings, PolicyIndex};
+use crate::mech::{validate, CellSampler, Mechanism};
 use crate::policy::LocationPolicyGraph;
 use panda_geo::CellId;
-use rand::Rng;
 use rand::RngCore;
+use std::sync::Arc;
 
 /// Graph-exponential PGLP mechanism. Stateless; construct freely.
 #[derive(Debug, Clone, Copy, Default)]
@@ -37,37 +43,6 @@ impl GraphExponential {
             .into_iter()
             .map(|(c, d)| (c, -eps * d as f64 / 2.0))
             .collect()
-    }
-
-    /// The cached sampling table for `(ε, s)` via the index's LRU.
-    /// Unnormalised weights suffice for sampling; the max log-weight is 0
-    /// (at `s` itself), so `exp()` is stable.
-    ///
-    /// Weights come from the index's *cached distance row* for `s`, so an
-    /// ε schedule over one cell derives distances once and only re-runs the
-    /// cheap `exp()` shaping per step — on a 50k-cell oracle-backed
-    /// component that turns per-step table builds from one label join each
-    /// into row-cache hits. The arithmetic is kept bit-identical to the
-    /// closed-form path (`exp(−ε·d/2)` over the same integer distances), so
-    /// released databases do not depend on which path built the table.
-    fn table(
-        &self,
-        index: &PolicyIndex,
-        eps: f64,
-        s: CellId,
-    ) -> std::sync::Arc<crate::SamplingTable> {
-        index.distribution(self.name(), eps, s, |p| match index.distance_row(s) {
-            Some(row) => p
-                .component_slice(s)
-                .iter()
-                .zip(row.iter())
-                .map(|(&c, &d)| (c, (-eps * f64::from(d) / 2.0).exp()))
-                .collect(),
-            None => Self::log_weights(p, eps, s)
-                .into_iter()
-                .map(|(c, lw)| (c, lw.exp()))
-                .collect(),
-        })
     }
 
     /// Exact log-probabilities `ln Pr[A(s) = ·]` over the support.
@@ -103,21 +78,9 @@ impl Mechanism for GraphExponential {
         if policy.is_isolated_cell(true_loc) {
             return Ok(true_loc);
         }
-        let lw = Self::log_weights(policy, eps, true_loc);
-        // Stable categorical sampling: shift by max log-weight (= 0 at s
-        // itself, but kept general), accumulate, then inverse-CDF.
-        let max = lw.iter().map(|&(_, w)| w).fold(f64::NEG_INFINITY, f64::max);
-        let weights: Vec<f64> = lw.iter().map(|&(_, w)| (w - max).exp()).collect();
-        let total: f64 = weights.iter().sum();
-        let mut u = rng.gen_range(0.0..total);
-        for (i, w) in weights.iter().enumerate() {
-            if u < *w {
-                return Ok(lw[i].0);
-            }
-            u -= w;
-        }
-        // Floating-point tail: return the last support cell.
-        Ok(lw.last().expect("component is never empty").0)
+        // The resolved handle's draw, over rings built on the spot.
+        let rings = Arc::new(DistanceRings::build(policy, true_loc));
+        Ok(CellSampler::distance_rings(rings, eps).draw(rng))
     }
 
     fn output_distribution(
@@ -135,16 +98,14 @@ impl Mechanism for GraphExponential {
         index: &'a PolicyIndex,
         eps: f64,
         cell: CellId,
-    ) -> Result<crate::mech::CellSampler<'a>, PglpError> {
+    ) -> Result<CellSampler<'a>, PglpError> {
         validate(index.policy(), eps, cell)?;
         if index.policy().is_isolated_cell(cell) {
             // Singleton component: exact release, no randomness consumed.
-            return Ok(crate::mech::CellSampler::exact(cell));
+            return Ok(CellSampler::exact(cell));
         }
-        // One shared-LRU touch here; every draw is then lock-free.
-        Ok(crate::mech::CellSampler::table(
-            self.table(index, eps, cell),
-        ))
+        // One ring-cache touch here; every draw is then lock-free.
+        Ok(CellSampler::distance_rings(index.distance_row(cell), eps))
     }
 }
 
@@ -254,6 +215,75 @@ mod tests {
         // Log-probs must normalise.
         let total: f64 = log_dist.iter().map(|&(_, l)| l.exp()).sum();
         assert!((total - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn ring_handle_probabilities_match_closed_form() {
+        let mut rng = SmallRng::seed_from_u64(8);
+        let cases = [
+            (
+                LocationPolicyGraph::g1_geo_indistinguishability(GridMap::new(9, 7, 100.0)),
+                0.7,
+            ),
+            (LocationPolicyGraph::partition(grid(), 2, 2), 2.5),
+            (LocationPolicyGraph::random(grid(), 10, 0.4, &mut rng), 0.05),
+        ];
+        for (p, eps) in cases {
+            let index = PolicyIndex::new(p.clone());
+            for s in (0..p.n_locations()).map(CellId) {
+                let exact = GraphExponential.output_distribution(&p, eps, s).unwrap();
+                let mut handle = GraphExponential
+                    .sampler(&index, eps, s)
+                    .unwrap()
+                    .probabilities()
+                    .expect("discrete handle");
+                handle.sort_by_key(|&(c, _)| c);
+                assert_eq!(handle.len(), exact.len());
+                for ((c, ph), (ce, pe)) in handle.into_iter().zip(exact) {
+                    assert_eq!(c, ce);
+                    assert!((ph - pe).abs() < 1e-12, "{s}→{c}: ring {ph} vs exact {pe}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ring_draws_pass_chi_square_on_a_large_component() {
+        let p = LocationPolicyGraph::g1_geo_indistinguishability(GridMap::new(32, 32, 100.0));
+        let index = PolicyIndex::new(p.clone());
+        let (s, eps) = (p.grid().cell(9, 20), 0.1);
+        let exact = GraphExponential.output_distribution(&p, eps, s).unwrap();
+        assert!(exact.len() >= 1024);
+        let sampler = GraphExponential.sampler(&index, eps, s).unwrap();
+        const N: usize = 400_000;
+        let mut counts = vec![0usize; p.n_locations() as usize];
+        let mut rng = SmallRng::seed_from_u64(12);
+        for _ in 0..N {
+            counts[sampler.draw(&mut rng).index()] += 1;
+        }
+        let chi2: f64 = exact
+            .iter()
+            .map(|&(c, pr)| {
+                let e = pr * N as f64;
+                (counts[c.index()] as f64 - e).powi(2) / e
+            })
+            .sum();
+        // 1023 degrees of freedom: the 99.9% critical value is ≈ 1168.
+        assert!(chi2 < 1168.0, "chi-square {chi2} too large");
+    }
+
+    #[test]
+    fn perturb_draws_what_the_resolved_handle_draws() {
+        let p = LocationPolicyGraph::g1_geo_indistinguishability(grid());
+        let index = PolicyIndex::new(p.clone());
+        let sampler = GraphExponential.sampler(&index, 0.9, CellId(6)).unwrap();
+        let (mut a, mut b) = (SmallRng::seed_from_u64(5), SmallRng::seed_from_u64(5));
+        for _ in 0..500 {
+            let z = GraphExponential
+                .perturb(&p, 0.9, CellId(6), &mut a)
+                .unwrap();
+            assert_eq!(z, sampler.draw(&mut b));
+        }
     }
 
     #[test]

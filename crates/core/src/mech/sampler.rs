@@ -6,11 +6,11 @@
 //! cell-concentrated load, parallel flush lanes serialised on that single
 //! lock. A [`CellSampler`] front-loads *all* shared-state access into one
 //! resolution step ([`Mechanism::sampler`]): the handle owns (or borrows)
-//! everything a draw needs — an `Arc` of the compiled alias/cumulative
-//! table, the calibration scale with the component slice to snap onto, or
-//! the prepared PIM hull — and [`CellSampler::draw`] then touches no lock at
-//! all. Lanes resolve one handle per **distinct** cell (see [`SamplerMemo`])
-//! and draw per report.
+//! everything a draw needs — an `Arc` of the cell's distance rings or of a
+//! compiled alias/cumulative table, the calibration scale with the
+//! component slice to snap onto, or the prepared PIM hull — and
+//! [`CellSampler::draw`] then touches no lock at all. Lanes resolve one
+//! handle per **distinct** cell (see [`SamplerMemo`]) and draw per report.
 //!
 //! ## Determinism contract
 //!
@@ -23,7 +23,7 @@
 //! per-lane memoised handles — CI enforces this byte-for-byte.
 
 use crate::error::PglpError;
-use crate::index::{PolicyIndex, SamplingTable};
+use crate::index::{DistanceRings, PolicyIndex, SamplingTable};
 use crate::mech::noise::planar_laplace_noise;
 use crate::mech::pim::{PlanarIsotropic, PreparedHull};
 use crate::mech::Mechanism;
@@ -35,15 +35,63 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::Arc;
 
+/// One ring of a resolved graph-exponential handle: `cum` is the sum of
+/// the weights `|ring|·exp(−ε·d/2)` of this ring and every closer one; the
+/// ring's cells are `rings.cells()[start..start + len]`.
+#[derive(Debug, Clone, Copy, Default)]
+struct RingSlot {
+    cum: f64,
+    start: u32,
+    len: u32,
+}
+
+/// Rings a handle keeps inline. Cliques (every partition policy) have two
+/// rings, and lanes resolve about one handle per report on them, so their
+/// handles must not allocate.
+const INLINE_RINGS: usize = 2;
+
+/// The ring slots of a handle: inline up to [`INLINE_RINGS`], else boxed.
+#[derive(Debug, Clone)]
+enum RingSlots {
+    Inline([RingSlot; INLINE_RINGS], usize),
+    Boxed(Box<[RingSlot]>),
+}
+
+impl RingSlots {
+    fn collect(n: usize, slots: impl Iterator<Item = RingSlot>) -> Self {
+        if n > INLINE_RINGS {
+            return RingSlots::Boxed(slots.collect());
+        }
+        let mut inline = [RingSlot::default(); INLINE_RINGS];
+        for (dst, slot) in inline.iter_mut().zip(slots) {
+            *dst = slot;
+        }
+        RingSlots::Inline(inline, n)
+    }
+
+    fn as_slice(&self) -> &[RingSlot] {
+        match self {
+            RingSlots::Inline(slots, n) => &slots[..*n],
+            RingSlots::Boxed(slots) => slots,
+        }
+    }
+}
+
 /// How a resolved handle turns randomness into a released cell.
 #[derive(Debug, Clone)]
 enum Draw<'a> {
     /// Deterministic release (isolated cells, identity). Consumes no
     /// randomness.
     Exact(CellId),
-    /// One draw from a compiled sampling table (graph/euclidean exponential
-    /// and any closed-form mechanism).
+    /// One draw from a compiled sampling table (euclidean exponential and
+    /// any closed-form mechanism).
     Table(Arc<SamplingTable>),
+    /// One graph-exponential draw over a cell's distance rings, one slot
+    /// per ring.
+    Rings {
+        rings: Arc<DistanceRings>,
+        slots: RingSlots,
+    },
     /// Continuous planar Laplace noise around `center` with rate `scale`,
     /// snapped to the nearest cell of the component slice.
     LaplaceSnap {
@@ -102,6 +150,27 @@ impl<'a> CellSampler<'a> {
     pub fn table(table: Arc<SamplingTable>) -> Self {
         CellSampler {
             draw: Draw::Table(table),
+        }
+    }
+
+    /// A graph-exponential handle over `rings`: releases `z` with
+    /// probability ∝ `exp(−ε·d_G(s, z)/2)`. Costs one `exp` in all (ring
+    /// `r` weighs `|ring r|·qᵈ` with `q = exp(−ε/2)`), nothing per cell.
+    pub(crate) fn distance_rings(rings: Arc<DistanceRings>, eps: f64) -> Self {
+        let q = (-eps / 2.0).exp();
+        let (mut cum, mut start) = (0.0, 0);
+        let slots = (0..rings.n_rings()).map(|r| {
+            let len = rings.ring(r).len() as u32;
+            // Saturating: q^(2^31) has long underflowed to 0 anyway.
+            let d = i32::try_from(rings.ring_distance(r)).unwrap_or(i32::MAX);
+            cum += f64::from(len) * q.powi(d);
+            let slot = RingSlot { cum, start, len };
+            start += len;
+            slot
+        });
+        let slots = RingSlots::collect(rings.n_rings(), slots);
+        CellSampler {
+            draw: Draw::Rings { rings, slots },
         }
     }
 
@@ -175,6 +244,19 @@ impl<'a> CellSampler<'a> {
         match &self.draw {
             Draw::Exact(c) => *c,
             Draw::Table(table) => table.sample(rng),
+            Draw::Rings { rings, slots } => {
+                let slots = slots.as_slice();
+                let last = slots.len() - 1;
+                let u = rng.gen_range(0.0..slots[last].cum);
+                // partition_point can land one past the end on FP edge cases.
+                let r = slots.partition_point(|s| s.cum <= u).min(last);
+                let lo = if r == 0 { 0.0 } else { slots[r - 1].cum };
+                // Given ring r, `u` is uniform on [lo, cum): its residual
+                // picks the cell, so a report still costs one RNG draw.
+                let RingSlot { cum, start, len } = slots[r];
+                let i = ((u - lo) / (cum - lo) * f64::from(len)) as u32;
+                rings.cells()[(start + i.min(len - 1)) as usize]
+            }
             Draw::LaplaceSnap {
                 center,
                 scale,
@@ -201,6 +283,41 @@ impl<'a> CellSampler<'a> {
             }
             Draw::Uniform { cells } => cells[rng.gen_range(0..cells.len())],
             Draw::Remap { inner, table } => table[inner.draw(rng).index()],
+        }
+    }
+
+    /// The exact output distribution of an exact, table or ring handle, as
+    /// `(cell, probability)` pairs in the handle's own order; `None` for
+    /// every other handle.
+    pub fn probabilities(&self) -> Option<Vec<(CellId, f64)>> {
+        match &self.draw {
+            Draw::Exact(c) => Some(vec![(*c, 1.0)]),
+            Draw::Table(table) => Some(
+                table
+                    .cells()
+                    .iter()
+                    .copied()
+                    .zip(table.probabilities())
+                    .collect(),
+            ),
+            Draw::Rings { rings, slots } => {
+                let slots = slots.as_slice();
+                let total = slots[slots.len() - 1].cum;
+                let mut lo = 0.0;
+                let mut out = Vec::with_capacity(rings.cells().len());
+                for &RingSlot { cum, start, len } in slots.iter() {
+                    let p = (cum - lo) / total / f64::from(len);
+                    let ring = &rings.cells()[start as usize..(start + len) as usize];
+                    out.extend(ring.iter().map(|&c| (c, p)));
+                    lo = cum;
+                }
+                Some(out)
+            }
+            Draw::LaplaceSnap { .. }
+            | Draw::GridSnap { .. }
+            | Draw::Knorm { .. }
+            | Draw::Uniform { .. }
+            | Draw::Remap { .. } => None,
         }
     }
 }

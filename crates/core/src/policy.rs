@@ -390,8 +390,8 @@ impl LocationPolicyGraph {
     /// (leaving `out` empty) only when the component exceeds 65535 cells
     /// *and* is unindexed, i.e. distances may not fit `u16`.
     ///
-    /// This is the row primitive behind `PolicyIndex`'s distance-row cache:
-    /// every `(mechanism, ε)` pair over the same cell reuses one row.
+    /// This is the row primitive behind `PolicyIndex`'s distance-ring cache:
+    /// every ε over the same cell reuses the rings built from one row.
     pub fn component_row_u16(&self, s: CellId, out: &mut Vec<u16>) -> bool {
         if self.dist.row_into(s.0, out) {
             return true;

@@ -4,8 +4,8 @@
 //! nodes) is indexed twice — once with an unbounded table budget (dense
 //! per-component distance tables) and once with a tiny one (hub-label
 //! oracle). Everything observable downstream must be **bitwise identical**:
-//! sampling-table supports and probabilities, exact output distributions,
-//! and whole released databases under the parallel releaser. This is the
+//! distance rings, sampler supports and probabilities, and whole released
+//! databases under the parallel releaser. This is the
 //! CI gate for the oracle's exactness claim — privacy calibration is proved
 //! against true graph distances, so an approximate oracle would silently
 //! void the guarantee.
@@ -54,21 +54,24 @@ fn oracle_backed_sampling_tables_bitwise_equal_to_dense() {
     let mut rng = SmallRng::seed_from_u64(7);
     for _ in 0..12 {
         let cell = CellId(rng.gen_range(0..W * H));
+        // The ε-free state: identical rings from either backend.
+        assert_eq!(
+            *dense.distance_row(cell),
+            *oracle.distance_row(cell),
+            "cell {cell}"
+        );
         for eps in [0.25, 1.0, 4.0] {
-            let build = |index: &PolicyIndex| {
-                // Warm the LRU through the mechanism's own table path, then
-                // pull the cached table out (the closure must never run).
-                GraphExponential.sampler(index, eps, cell).expect("sampler");
-                index.distribution(GraphExponential.name(), eps, cell, |_| {
-                    panic!("table must already be cached")
-                })
+            let probabilities = |index: &PolicyIndex| {
+                GraphExponential
+                    .sampler(index, eps, cell)
+                    .expect("sampler")
+                    .probabilities()
+                    .expect("discrete handle")
             };
-            let (ta, tb) = (build(&dense), build(&oracle));
-            assert_eq!(ta.cells(), tb.cells());
-            assert_eq!(ta.is_alias(), tb.is_alias());
-            let (pa, pb) = (ta.probabilities(), tb.probabilities());
+            let (pa, pb) = (probabilities(&dense), probabilities(&oracle));
             assert_eq!(pa.len(), pb.len());
-            for (x, y) in pa.iter().zip(pb.iter()) {
+            for ((ca, x), (cb, y)) in pa.iter().zip(pb.iter()) {
+                assert_eq!(ca, cb);
                 // Bitwise, not approximate: the arithmetic paths must agree.
                 assert_eq!(x.to_bits(), y.to_bits(), "cell {cell} eps {eps}");
             }
@@ -107,7 +110,7 @@ fn oracle_memory_stays_small_and_rows_are_shared() {
         oracle_bytes * 8 < dense_bytes,
         "oracle {oracle_bytes} B must undercut dense {dense_bytes} B by >8x"
     );
-    // An ε sweep over one cell derives its distance row exactly once.
+    // An ε sweep over one cell builds its distance rings exactly once.
     let mut rng = SmallRng::seed_from_u64(3);
     for eps in [0.1, 0.2, 0.4, 0.8, 1.6] {
         GraphExponential
@@ -115,6 +118,7 @@ fn oracle_memory_stays_small_and_rows_are_shared() {
             .expect("release");
     }
     let stats = oracle.row_cache_stats();
-    assert_eq!(stats.misses, 1, "one row build for the whole sweep");
+    assert_eq!(stats.misses, 1, "one ring build for the whole sweep");
     assert_eq!(stats.hits, 4);
+    assert_eq!(oracle.n_cached_distributions(), 0, "no per-ε tables");
 }

@@ -164,7 +164,8 @@ proptest! {
         }
     }
 
-    /// The PolicyIndex's cached sampling tables are the mechanism's exact
+    /// The PolicyIndex's cached sampling state (GEM's distance rings,
+    /// EucExp's tables) yields the mechanism's exact
     /// closed-form output distribution, cell for cell and probability for
     /// probability — across random policies, ε values and inputs.
     #[test]
@@ -194,13 +195,15 @@ proptest! {
                 continue;
             }
             let fresh = mech.output_distribution(&policy, eps, s).unwrap();
-            let table = index.distribution(mech.name(), eps, s, |_| {
-                panic!("distribution must already be cached after perturb_batch")
-            });
-            prop_assert_eq!(table.cells().len(), fresh.len());
-            for ((&cell, p_cached), (fresh_cell, p_fresh)) in
-                table.cells().iter().zip(table.probabilities()).zip(fresh)
-            {
+            // The handle resolves from the warm cache (rings or table).
+            let mut cached = mech
+                .sampler(&index, eps, s)
+                .unwrap()
+                .probabilities()
+                .expect("closed-form handles are discrete");
+            cached.sort_by_key(|&(c, _)| c);
+            prop_assert_eq!(cached.len(), fresh.len());
+            for ((cell, p_cached), (fresh_cell, p_fresh)) in cached.into_iter().zip(fresh) {
                 prop_assert_eq!(cell, fresh_cell);
                 prop_assert!(
                     (p_cached - p_fresh).abs() < 1e-9,

@@ -31,7 +31,7 @@ use crate::protocol::LocationReport;
 use crate::server::Server;
 use panda_core::{Mechanism, PolicyIndex, ReleasePool};
 use panda_geo::GridMap;
-use panda_mobility::{Timestamp, Trajectory, TrajectoryDb};
+use panda_mobility::{Timestamp, TrajectoryDb};
 use std::sync::Arc;
 
 /// The ingest-tier surface a routing tier needs from one shard's slice,
@@ -184,16 +184,17 @@ impl IngestNode for ShardNode {
 /// Routing partitions users across nodes (disjoint by construction), so
 /// the merge is a concatenation of each node's
 /// [`Server::reported_db`] trajectories re-sorted by user — no conflict
-/// resolution exists to do. All nodes must share `grid`.
+/// resolution exists to do, and the merged database is validated once.
+/// All nodes must share `grid`.
 pub fn merge_reported_dbs(
     grid: GridMap,
     nodes: &[Arc<Server>],
     horizon: Timestamp,
 ) -> TrajectoryDb {
-    let mut trajectories: Vec<Trajectory> = nodes
-        .iter()
-        .flat_map(|s| s.reported_db(horizon).trajectories().to_vec())
-        .collect();
+    let mut trajectories = Vec::new();
+    for node in nodes {
+        node.append_trajectories(horizon, &mut trajectories);
+    }
     trajectories.sort_by_key(|tr| tr.user);
     TrajectoryDb::new(grid, trajectories)
 }

@@ -285,37 +285,38 @@ impl Server {
     /// This is what the monitoring/analysis apps consume: the *perturbed*
     /// counterpart of the population's true trajectory database.
     pub fn reported_db(&self, horizon: Timestamp) -> TrajectoryDb {
-        let mut trajectories: Vec<Trajectory> = self
-            .shards
-            .iter()
-            .flat_map(|shard| {
-                let store = shard.reports.read();
-                store
-                    .iter()
-                    .filter(|(_, m)| !m.is_empty())
-                    .map(|(user, m)| {
-                        let first = *m.values().next().expect("non-empty");
-                        let mut cells = Vec::with_capacity(horizon as usize);
-                        let mut current = first;
-                        for t in 0..horizon {
-                            if let Some(&c) = m.get(&t) {
-                                current = c;
-                            }
-                            cells.push(current);
-                        }
-                        Trajectory { user: *user, cells }
-                    })
-                    .collect::<Vec<_>>()
-            })
-            .collect();
+        let mut trajectories = Vec::new();
+        self.append_trajectories(horizon, &mut trajectories);
         trajectories.sort_by_key(|tr| tr.user);
         TrajectoryDb::new(self.grid.clone(), trajectories)
+    }
+
+    /// Appends the [`Server::reported_db`] trajectory of every user that
+    /// has reported, in no particular order. Each user's reports are
+    /// walked once in epoch order: epochs before the first report take the
+    /// first report's cell, and each later epoch holds the last cell
+    /// reported at or before it.
+    pub(crate) fn append_trajectories(&self, horizon: Timestamp, out: &mut Vec<Trajectory>) {
+        for shard in &self.shards {
+            let store = shard.reports.read();
+            out.extend(store.iter().filter_map(|(user, m)| {
+                let mut current = *m.values().next()?;
+                let mut cells = Vec::with_capacity(horizon as usize);
+                for (&t, &c) in m.range(..horizon) {
+                    cells.resize(t as usize, current);
+                    current = c;
+                }
+                cells.resize(horizon as usize, current);
+                Some(Trajectory { user: *user, cells })
+            }));
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -371,6 +372,62 @@ mod tests {
             tr.cells,
             vec![CellId(1), CellId(1), CellId(1), CellId(5), CellId(5)]
         );
+    }
+
+    /// The reference `reported_db` fill: one map lookup per epoch, holding
+    /// the last reported cell (the first report's cell before any).
+    fn per_epoch_trajectories(s: &Server, horizon: Timestamp) -> Vec<Trajectory> {
+        let mut out = Vec::new();
+        for shard in &s.shards {
+            for (&user, m) in shard.reports.read().iter() {
+                let Some(&first) = m.values().next() else {
+                    continue;
+                };
+                let mut current = first;
+                let cells = (0..horizon)
+                    .map(|t| {
+                        if let Some(&c) = m.get(&t) {
+                            current = c;
+                        }
+                        current
+                    })
+                    .collect();
+                out.push(Trajectory { user, cells });
+            }
+        }
+        out.sort_by_key(|tr| tr.user);
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The in-order walk fills every epoch as the per-epoch lookups
+        /// did — sparse epochs, epochs at or past the horizon, reports that
+        /// start after epoch 0 — and merging two nodes' views equals one
+        /// server's view.
+        #[test]
+        fn reported_db_walk_matches_per_epoch_lookups(
+            reports in prop::collection::vec((0u32..6, 0u32..40, 0u32..16, any::<bool>()), 0..60),
+            horizon in 0u32..30,
+        ) {
+            let grid = GridMap::new(4, 4, 100.0);
+            let one = Server::with_shards(grid.clone(), 3);
+            let nodes = [
+                std::sync::Arc::new(Server::with_shards(grid.clone(), 2)),
+                std::sync::Arc::new(Server::with_shards(grid.clone(), 2)),
+            ];
+            for &(u, t, c, resend) in &reports {
+                let r = report(u, t, c, resend);
+                one.receive(r);
+                nodes[shard_of(r.user, 2)].receive(r);
+            }
+            let expect = per_epoch_trajectories(&one, horizon);
+            let db = one.reported_db(horizon);
+            prop_assert_eq!(db.trajectories(), &expect[..]);
+            let merged = crate::node::merge_reported_dbs(grid, &nodes, horizon);
+            prop_assert_eq!(merged.trajectories(), &expect[..]);
+        }
     }
 
     #[test]

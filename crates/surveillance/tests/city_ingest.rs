@@ -94,14 +94,15 @@ fn city_ingest_is_backend_invariant() {
         "distance backend changed the landed DB"
     );
 
-    // The oracle index built every sampling table from cached distance
-    // rows — one row derivation per distinct true cell, at most.
+    // The oracle index drew every report from cached distance rings — one
+    // ring build per distinct true cell at most, even with four lanes
+    // missing the same cold cell at once.
     let stats = oracle.row_cache_stats();
     let distinct: std::collections::HashSet<CellId> = reports.iter().map(|r| r.cell).collect();
-    assert!(stats.misses > 0, "city component must use cached rows");
+    assert!(stats.misses > 0, "city component must use cached rings");
     assert!(
         (stats.misses as usize) <= distinct.len(),
-        "row builds ({}) must not exceed distinct cells ({})",
+        "ring builds ({}) must not exceed distinct cells ({})",
         stats.misses,
         distinct.len()
     );

@@ -87,13 +87,21 @@ impl TrajectoryDb {
             .first()
             .map(|t| t.horizon())
             .unwrap_or_default();
-        let mut seen = std::collections::HashSet::new();
         for t in &trajectories {
             assert_eq!(t.horizon(), horizon, "ragged trajectory horizons");
-            assert!(seen.insert(t.user), "duplicate user id {}", t.user);
-            for &c in &t.cells {
-                assert!(grid.contains(c), "trajectory leaves the grid");
-            }
+            // A branch-free max over the cells vectorises; `contains` is
+            // `id < n_cells`, so the largest id decides for all of them
+            // (and cell 0 is in every grid).
+            let max_cell = t.cells.iter().fold(0, |m, c| m.max(c.0));
+            assert!(
+                grid.contains(CellId(max_cell)),
+                "trajectory leaves the grid"
+            );
+        }
+        let mut users: Vec<UserId> = trajectories.iter().map(|t| t.user).collect();
+        users.sort_unstable();
+        if let Some(w) = users.windows(2).find(|w| w[0] == w[1]) {
+            panic!("duplicate user id {}", w[0]);
         }
         TrajectoryDb {
             grid,
@@ -383,7 +391,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "ragged")]
+    #[should_panic(expected = "ragged trajectory horizons")]
     fn ragged_horizons_rejected() {
         let g = grid();
         TrajectoryDb::new(
@@ -402,7 +410,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "duplicate user")]
+    #[should_panic(expected = "duplicate user id u0")]
     fn duplicate_users_rejected() {
         let g = grid();
         TrajectoryDb::new(
@@ -418,6 +426,56 @@ mod tests {
                 },
             ],
         );
+    }
+
+    /// Duplicates need not be neighbours in the input: the sorted-id check
+    /// still finds them.
+    #[test]
+    #[should_panic(expected = "duplicate user id u3")]
+    fn non_adjacent_duplicate_users_rejected() {
+        let g = grid();
+        let tr = |u| Trajectory {
+            user: UserId(u),
+            cells: vec![g.cell(0, 0)],
+        };
+        TrajectoryDb::new(g.clone(), vec![tr(3), tr(9), tr(1), tr(3), tr(5)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "trajectory leaves the grid")]
+    fn foreign_cells_rejected() {
+        let g = grid();
+        TrajectoryDb::new(
+            g.clone(),
+            vec![
+                Trajectory {
+                    user: UserId(0),
+                    cells: vec![g.cell(0, 0), g.cell(3, 3)],
+                },
+                Trajectory {
+                    user: UserId(1),
+                    cells: vec![g.cell(1, 1), CellId(g.n_cells())],
+                },
+            ],
+        );
+    }
+
+    #[test]
+    fn zero_horizon_trajectories_accepted() {
+        let db = TrajectoryDb::new(
+            grid(),
+            vec![
+                Trajectory {
+                    user: UserId(4),
+                    cells: vec![],
+                },
+                Trajectory {
+                    user: UserId(2),
+                    cells: vec![],
+                },
+            ],
+        );
+        assert_eq!((db.n_users(), db.horizon()), (2, 0));
     }
 
     #[test]

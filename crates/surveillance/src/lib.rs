@@ -50,3 +50,31 @@ pub use policy_config::PolicyConfigurator;
 pub use protocol::{LocationReport, PolicyAssignment, ResendRequest};
 pub use server::{shard_of, Server};
 pub use tracing::{ContactRule, ContactTracer, TraceOutcome};
+
+#[cfg(test)]
+mod test_support {
+    use panda_geo::{CellId, GridMap};
+    use panda_mobility::{Trajectory, TrajectoryDb, UserId};
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    /// `n_users` users with spread-out, unsorted ids, each at a uniform
+    /// random cell of `grid` in every one of `horizon` epochs.
+    pub(crate) fn random_db(
+        grid: GridMap,
+        n_users: usize,
+        horizon: usize,
+        seed: u64,
+    ) -> TrajectoryDb {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let trajectories = (0..n_users as u32)
+            .map(|i| Trajectory {
+                user: UserId((i * 7919) % 101),
+                cells: (0..horizon)
+                    .map(|_| CellId(rng.gen_range(0..grid.n_cells())))
+                    .collect(),
+            })
+            .collect();
+        TrajectoryDb::new(grid, trajectories)
+    }
+}

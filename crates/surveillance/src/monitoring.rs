@@ -12,20 +12,24 @@ use panda_mobility::{Timestamp, TrajectoryDb};
 use serde::{Deserialize, Serialize};
 
 /// Per-epoch occupancy counts of each coarse area (`epochs × areas`).
+///
+/// One pass over the database in trajectory order: a cell → area table is
+/// built once, and each trajectory adds into one flat `epochs × areas`
+/// buffer, so every trajectory is read front to back exactly once.
 pub fn occupancy_by_area(db: &TrajectoryDb, block: u32) -> Vec<Vec<u32>> {
     let grid = db.grid();
     let n_areas = grid.n_blocks(block, block) as usize;
-    let mut out = Vec::with_capacity(db.horizon() as usize);
-    for t in 0..db.horizon() {
-        let mut counts = vec![0u32; n_areas];
-        for tr in db.trajectories() {
-            if let Some(c) = tr.at(t) {
-                counts[grid.block_of(c, block, block) as usize] += 1;
-            }
+    let area_of: Vec<u32> = grid
+        .cells()
+        .map(|c| grid.block_of(c, block, block))
+        .collect();
+    let mut flat = vec![0u32; db.horizon() as usize * n_areas];
+    for tr in db.trajectories() {
+        for (row, &c) in flat.chunks_exact_mut(n_areas).zip(&tr.cells) {
+            row[area_of[c.index()] as usize] += 1;
         }
-        out.push(counts);
     }
-    out
+    flat.chunks_exact(n_areas).map(<[u32]>::to_vec).collect()
 }
 
 /// Aggregate inter-area movement matrix over the whole horizon:
@@ -150,6 +154,45 @@ mod tests {
     use super::*;
     use panda_geo::GridMap;
     use panda_mobility::{Trajectory, UserId};
+    use proptest::prelude::*;
+
+    /// The reference [`occupancy_by_area`]: epoch-major, one `block_of`
+    /// per (epoch, user).
+    fn occupancy_epoch_major(db: &TrajectoryDb, block: u32) -> Vec<Vec<u32>> {
+        let grid = db.grid();
+        let n_areas = grid.n_blocks(block, block) as usize;
+        let mut out = Vec::with_capacity(db.horizon() as usize);
+        for t in 0..db.horizon() {
+            let mut counts = vec![0u32; n_areas];
+            for tr in db.trajectories() {
+                if let Some(c) = tr.at(t) {
+                    counts[grid.block_of(c, block, block) as usize] += 1;
+                }
+            }
+            out.push(counts);
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The single-pass kernel equals the epoch-major reference: empty
+        /// databases, horizon 0, ragged edge blocks and blocks larger than
+        /// the grid included.
+        #[test]
+        fn single_pass_occupancy_matches_epoch_major(
+            w in 1u32..9,
+            h in 1u32..9,
+            n_users in 0usize..12,
+            horizon in 0usize..10,
+            block in 1u32..12,
+            seed in any::<u64>(),
+        ) {
+            let db = crate::test_support::random_db(GridMap::new(w, h, 100.0), n_users, horizon, seed);
+            prop_assert_eq!(occupancy_by_area(&db, block), occupancy_epoch_major(&db, block));
+        }
+    }
 
     fn db() -> TrajectoryDb {
         let g = GridMap::new(4, 4, 100.0);

@@ -22,6 +22,19 @@
 //! partially applied (per-shard atomicity, not whole-batch) — the price of
 //! lock striping; the surveillance apps read between phases, never
 //! mid-ingest.
+//!
+//! Each user's reports are one contiguous vector of `(epoch, cell)`
+//! pairs, sorted by epoch with unique epochs, so a read walks memory in
+//! order instead of chasing tree nodes. Every write goes through one
+//! upsert (last write wins). Its cost, for a user with `n` stored epochs:
+//!
+//! * an overwrite of the **dense slot** — index `epoch − first_epoch`,
+//!   which holds `epoch` whenever no epoch between the two is missing —
+//!   and an **append** of an epoch newer than the user's newest are O(1);
+//! * any other overwrite is an O(log n) binary search;
+//! * a new epoch older than the user's newest is a binary search plus a
+//!   memmove of the entries after it (O(n) worst case, paid only by
+//!   out-of-order first arrivals).
 
 use crate::protocol::LocationReport;
 use panda_check::ordered::{rank, OrderedRwLock};
@@ -31,7 +44,32 @@ use panda_obs::{Counter, Registry};
 // Per-user stores are keyed by UserId; every read path (users,
 // reported_db) sorts before exposing an iteration order.
 // panda-check: allow(unordered_iter): read paths sort first
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
+
+/// One user's reports: `(epoch, cell)` sorted by epoch, epochs unique.
+type UserReports = Vec<(Timestamp, CellId)>;
+
+/// Stores `cell` for `epoch`, overwriting an existing entry (see the
+/// module doc for the cost of each case).
+fn upsert(v: &mut UserReports, epoch: Timestamp, cell: CellId) {
+    // Dense slot: with no gap since the first epoch, `epoch` sits at
+    // index `epoch − first`.
+    if let Some(&(first, _)) = v.first() {
+        if let Some(slot) = epoch.checked_sub(first).and_then(|d| v.get_mut(d as usize)) {
+            if slot.0 == epoch {
+                slot.1 = cell;
+                return;
+            }
+        }
+    }
+    match v.last() {
+        Some(&(last, _)) if epoch <= last => match v.binary_search_by_key(&epoch, |&(t, _)| t) {
+            Ok(i) => v[i].1 = cell,
+            Err(i) => v.insert(i, (epoch, cell)),
+        },
+        _ => v.push((epoch, cell)),
+    }
+}
 
 /// One lock stripe: the report store of every user hashing to this shard,
 /// plus its lock-free ingest counters.
@@ -39,7 +77,7 @@ use std::collections::{BTreeMap, HashMap};
 struct Shard {
     /// Latest report per (user, epoch) — re-sends overwrite.
     // panda-check: allow(unordered_iter): read paths sort (see module doc).
-    reports: OrderedRwLock<HashMap<UserId, BTreeMap<Timestamp, CellId>>>,
+    reports: OrderedRwLock<HashMap<UserId, UserReports>>,
     n_received: Counter,
     n_resends: Counter,
 }
@@ -166,12 +204,11 @@ impl Server {
         if report.resend {
             shard.n_resends.inc();
         }
-        shard
-            .reports
-            .write()
-            .entry(report.user)
-            .or_default()
-            .insert(report.epoch, report.cell);
+        upsert(
+            shard.reports.write().entry(report.user).or_default(),
+            report.epoch,
+            report.cell,
+        );
     }
 
     /// Ingests a batch: groups reports by shard, then locks each touched
@@ -195,7 +232,7 @@ impl Server {
             }
             let mut store = shard.reports.write();
             for r in group {
-                store.entry(r.user).or_default().insert(r.epoch, r.cell);
+                upsert(store.entry(r.user).or_default(), r.epoch, r.cell);
             }
         }
     }
@@ -236,8 +273,11 @@ impl Server {
             .reports
             .read()
             .get(&user)
-            .and_then(|m| m.get(&epoch))
-            .copied()
+            .and_then(|v| {
+                v.binary_search_by_key(&epoch, |&(t, _)| t)
+                    .ok()
+                    .map(|i| v[i].1)
+            })
     }
 
     /// Registers a diagnosis (from the health system, out of band).
@@ -287,7 +327,7 @@ impl Server {
     pub fn reported_db(&self, horizon: Timestamp) -> TrajectoryDb {
         let mut trajectories = Vec::new();
         self.append_trajectories(horizon, &mut trajectories);
-        trajectories.sort_by_key(|tr| tr.user);
+        trajectories.sort_unstable_by_key(|tr| tr.user);
         TrajectoryDb::new(self.grid.clone(), trajectories)
     }
 
@@ -297,17 +337,24 @@ impl Server {
     /// first report's cell, and each later epoch holds the last cell
     /// reported at or before it.
     pub(crate) fn append_trajectories(&self, horizon: Timestamp, out: &mut Vec<Trajectory>) {
+        let h = horizon as usize;
         for shard in &self.shards {
             let store = shard.reports.read();
-            out.extend(store.iter().filter_map(|(user, m)| {
-                let mut current = *m.values().next()?;
-                let mut cells = Vec::with_capacity(horizon as usize);
-                for (&t, &c) in m.range(..horizon) {
+            out.extend(store.iter().filter_map(|(&user, v)| {
+                let &(_, mut current) = v.first()?;
+                // Sorted unique epochs: when entry h − 1 holds epoch h − 1,
+                // the first h entries are exactly epochs 0..h.
+                if h > 0 && v.get(h - 1).is_some_and(|&(t, _)| t == horizon - 1) {
+                    let cells = v[..h].iter().map(|&(_, c)| c).collect();
+                    return Some(Trajectory { user, cells });
+                }
+                let mut cells = Vec::with_capacity(h);
+                for &(t, c) in v.iter().take_while(|&&(t, _)| t < horizon) {
                     cells.resize(t as usize, current);
                     current = c;
                 }
-                cells.resize(horizon as usize, current);
-                Some(Trajectory { user: *user, cells })
+                cells.resize(h, current);
+                Some(Trajectory { user, cells })
             }));
         }
     }
@@ -318,7 +365,9 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use rand::rngs::SmallRng;
+    use rand::seq::SliceRandom;
     use rand::{Rng, SeedableRng};
+    use std::collections::BTreeMap;
 
     fn report(user: u32, epoch: Timestamp, cell: u32, resend: bool) -> LocationReport {
         LocationReport {
@@ -374,29 +423,66 @@ mod tests {
         );
     }
 
-    /// The reference `reported_db` fill: one map lookup per epoch, holding
-    /// the last reported cell (the first report's cell before any).
-    fn per_epoch_trajectories(s: &Server, horizon: Timestamp) -> Vec<Trajectory> {
-        let mut out = Vec::new();
-        for shard in &s.shards {
-            for (&user, m) in shard.reports.read().iter() {
-                let Some(&first) = m.values().next() else {
-                    continue;
-                };
-                let mut current = first;
-                let cells = (0..horizon)
-                    .map(|t| {
-                        if let Some(&c) = m.get(&t) {
-                            current = c;
-                        }
-                        current
-                    })
-                    .collect();
-                out.push(Trajectory { user, cells });
+    /// The reference store: the `BTreeMap` per user the contiguous store
+    /// replaced, with last-write-wins inserts.
+    #[derive(Default)]
+    struct Model(BTreeMap<UserId, BTreeMap<Timestamp, CellId>>);
+
+    impl Model {
+        fn receive(&mut self, r: LocationReport) {
+            self.0.entry(r.user).or_default().insert(r.epoch, r.cell);
+        }
+
+        fn reported_cell(&self, user: UserId, epoch: Timestamp) -> Option<CellId> {
+            self.0.get(&user).and_then(|m| m.get(&epoch)).copied()
+        }
+
+        /// The reference `reported_db` fill: one map lookup per epoch,
+        /// holding the last reported cell (the first report's cell before
+        /// any).
+        fn trajectories(&self, horizon: Timestamp) -> Vec<Trajectory> {
+            self.0
+                .iter()
+                .map(|(&user, m)| {
+                    let mut current = *m.values().next().expect("users have reports");
+                    let cells = (0..horizon)
+                        .map(|t| {
+                            if let Some(&c) = m.get(&t) {
+                                current = c;
+                            }
+                            current
+                        })
+                        .collect();
+                    Trajectory { user, cells }
+                })
+                .collect()
+        }
+    }
+
+    /// Asserts every read of `one` (and of the user-split `nodes`) matches
+    /// the reference model.
+    fn assert_matches_model(
+        one: &Server,
+        nodes: &[std::sync::Arc<Server>],
+        model: &Model,
+        probe_epochs: &[Timestamp],
+        horizon: Timestamp,
+    ) {
+        let users: Vec<UserId> = model.0.keys().copied().collect();
+        assert_eq!(one.users(), users);
+        for &u in users.iter().chain([UserId(999)].iter()) {
+            for &t in probe_epochs {
+                assert_eq!(
+                    one.reported_cell(u, t),
+                    model.reported_cell(u, t),
+                    "{u} @ {t}"
+                );
             }
         }
-        out.sort_by_key(|tr| tr.user);
-        out
+        let expect = model.trajectories(horizon);
+        assert_eq!(one.reported_db(horizon).trajectories(), &expect[..]);
+        let merged = crate::node::merge_reported_dbs(one.grid.clone(), nodes, horizon);
+        assert_eq!(merged.trajectories(), &expect[..]);
     }
 
     proptest! {
@@ -417,17 +503,107 @@ mod tests {
                 std::sync::Arc::new(Server::with_shards(grid.clone(), 2)),
                 std::sync::Arc::new(Server::with_shards(grid.clone(), 2)),
             ];
+            let mut model = Model::default();
             for &(u, t, c, resend) in &reports {
                 let r = report(u, t, c, resend);
                 one.receive(r);
                 nodes[shard_of(r.user, 2)].receive(r);
+                model.receive(r);
             }
-            let expect = per_epoch_trajectories(&one, horizon);
-            let db = one.reported_db(horizon);
-            prop_assert_eq!(db.trajectories(), &expect[..]);
-            let merged = crate::node::merge_reported_dbs(grid, &nodes, horizon);
-            prop_assert_eq!(merged.trajectories(), &expect[..]);
+            assert_matches_model(&one, &nodes, &model, &[0, 1, 39], horizon);
         }
+
+        /// Hostile write orders through `receive` and `receive_batch`:
+        /// descending and shuffled epochs, duplicate keys inside one batch,
+        /// resends, epochs at or past the horizon and next to `u32::MAX` —
+        /// every read equals the `BTreeMap` model's.
+        #[test]
+        fn hostile_write_orders_match_btreemap_model(
+            reports in prop::collection::vec(
+                (
+                    0u32..5,
+                    prop_oneof![0u32..24, 20u32..48, (u32::MAX - 3)..=u32::MAX],
+                    0u32..16,
+                ),
+                0..80,
+            ),
+            order in 0u32..3,
+            resent in 0usize..40,
+            batch in 1usize..20,
+            horizon in 0u32..40,
+        ) {
+            let mut reports: Vec<LocationReport> = reports
+                .into_iter()
+                .map(|(u, t, c)| report(u, t, c, false))
+                .collect();
+            match order {
+                0 => reports.sort_by_key(|r| std::cmp::Reverse(r.epoch)),
+                1 => reports.sort_by_key(|r| r.epoch),
+                _ => {} // generation order is already shuffled
+            }
+            // Resend a prefix under new cells: duplicate keys within one
+            // batch, and later overwrites of landed epochs.
+            let resends: Vec<LocationReport> = reports
+                .iter()
+                .take(resent)
+                .map(|r| report(r.user.0, r.epoch, (r.cell.0 + 1) % 16, true))
+                .collect();
+            reports.extend(resends);
+
+            let grid = GridMap::new(4, 4, 100.0);
+            let one = Server::with_shards(grid.clone(), 3);
+            let nodes = [
+                std::sync::Arc::new(Server::with_shards(grid.clone(), 2)),
+                std::sync::Arc::new(Server::with_shards(grid.clone(), 2)),
+            ];
+            let mut model = Model::default();
+            for (i, chunk) in reports.chunks(batch).enumerate() {
+                for &r in chunk {
+                    model.receive(r);
+                }
+                if i % 2 == 0 {
+                    one.receive_batch(chunk.to_vec());
+                    for &r in chunk {
+                        nodes[shard_of(r.user, 2)].receive(r);
+                    }
+                } else {
+                    for &r in chunk {
+                        one.receive(r);
+                    }
+                    for (n, node) in nodes.iter().enumerate() {
+                        node.receive_batch(
+                            chunk.iter().copied().filter(|r| shard_of(r.user, 2) == n).collect(),
+                        );
+                    }
+                }
+            }
+            prop_assert_eq!(one.n_received(), reports.len());
+            let probes: Vec<Timestamp> =
+                (0..48).chain((u32::MAX - 4)..=u32::MAX).collect();
+            assert_matches_model(&one, &nodes, &model, &probes, horizon);
+        }
+    }
+
+    /// The store's worst case: every first arrival lands in front of all
+    /// stored epochs (a memmove each), then ascending overwrites walk the
+    /// now-dense vector.
+    #[test]
+    fn descending_then_ascending_overwrites() {
+        const N: u32 = 8192;
+        let s = Server::with_shards(GridMap::new(4, 4, 100.0), 1);
+        for t in (0..N).rev() {
+            s.receive(report(7, t, t % 16, false));
+        }
+        for t in 0..N {
+            assert_eq!(s.reported_cell(UserId(7), t), Some(CellId(t % 16)));
+        }
+        s.receive_batch((0..N).map(|t| report(7, t, (t + 5) % 16, true)).collect());
+        assert_eq!(s.n_received(), 2 * N as usize);
+        assert_eq!(s.n_resends(), N as usize);
+        let db = s.reported_db(N);
+        let expect: Vec<CellId> = (0..N).map(|t| CellId((t + 5) % 16)).collect();
+        assert_eq!(db.trajectory(UserId(7)).unwrap().cells, expect);
+        assert_eq!(s.reported_cell(UserId(7), N), None);
     }
 
     #[test]
@@ -585,5 +761,77 @@ mod tests {
         let seen = reader.join().unwrap();
         assert!(seen <= 200);
         assert_eq!(s.n_received(), 200);
+    }
+
+    /// Four writers race `receive_batch` — shuffled epochs, then resends —
+    /// while a reader materialises `reported_db` in a loop. Every read is a
+    /// valid `TrajectoryDb` (its constructor validates), and the final DB
+    /// equals a single-threaded server fed the same batches.
+    #[test]
+    fn reported_db_reads_race_batch_writers() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::Arc;
+        const HORIZON: Timestamp = 24;
+        // Writer w owns users 50w..50w+50: disjoint keys keep the final DB
+        // independent of how the writers interleave.
+        let batches: Vec<Vec<Vec<LocationReport>>> = (0..4u32)
+            .map(|w| {
+                let mut rng = SmallRng::seed_from_u64(u64::from(w));
+                let mut reports: Vec<LocationReport> = (w * 50..w * 50 + 50)
+                    .flat_map(|u| (0..HORIZON + 4).map(move |t| report(u, t, (u + t) % 16, false)))
+                    .collect();
+                reports.shuffle(&mut rng);
+                let resends: Vec<LocationReport> = reports[..300]
+                    .iter()
+                    .map(|r| report(r.user.0, r.epoch, (r.cell.0 + 7) % 16, true))
+                    .collect();
+                reports.extend(resends);
+                reports.chunks(64).map(<[_]>::to_vec).collect()
+            })
+            .collect();
+        let reference = Server::with_shards(GridMap::new(4, 4, 100.0), 1);
+        for batch in batches.iter().flatten() {
+            reference.receive_batch(batch.clone());
+        }
+
+        let s = Arc::new(Server::with_shards(GridMap::new(4, 4, 100.0), 8));
+        let done = Arc::new(AtomicBool::new(false));
+        let reader = {
+            let (s, done) = (Arc::clone(&s), Arc::clone(&done));
+            std::thread::spawn(move || {
+                let mut reads = 0usize;
+                loop {
+                    let finished = done.load(Ordering::Acquire);
+                    let db = s.reported_db(HORIZON);
+                    assert!(db.n_users() <= 200);
+                    assert!(db.n_users() == 0 || db.horizon() == HORIZON);
+                    reads += 1;
+                    if finished {
+                        return reads;
+                    }
+                }
+            })
+        };
+        let writers: Vec<_> = batches
+            .into_iter()
+            .map(|mine| {
+                let s = Arc::clone(&s);
+                std::thread::spawn(move || {
+                    for batch in mine {
+                        s.receive_batch(batch);
+                    }
+                })
+            })
+            .collect();
+        for w in writers {
+            w.join().unwrap();
+        }
+        done.store(true, Ordering::Release);
+        assert!(reader.join().unwrap() >= 1);
+        assert_eq!(s.n_received(), reference.n_received());
+        assert_eq!(
+            s.reported_db(HORIZON).trajectories(),
+            reference.reported_db(HORIZON).trajectories()
+        );
     }
 }

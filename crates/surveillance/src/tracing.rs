@@ -26,7 +26,6 @@ use panda_geo::CellId;
 use panda_mobility::{Timestamp, TrajectoryDb, UserId};
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// The co-location decision rule.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -54,7 +53,12 @@ pub struct ContactTracer {
 impl ContactTracer {
     /// Users co-located with the patient history `(epoch, cell)` at least
     /// `min_co_occurrences` times within the window, according to `db`.
-    /// The patient themself is excluded. Sorted by user id.
+    /// The patient themself is excluded, a history entry listed twice
+    /// counts twice, and only users with at least one co-location are ever
+    /// flagged. Sorted by user id.
+    ///
+    /// One pass over the database in trajectory order: each trajectory
+    /// counts its matches against the windowed history.
     pub fn find_contacts(
         &self,
         db: &TrajectoryDb,
@@ -63,22 +67,24 @@ impl ContactTracer {
         from: Timestamp,
         to: Timestamp,
     ) -> Vec<UserId> {
-        let mut counts: HashMap<UserId, u32> = HashMap::new();
-        let window: Vec<&(Timestamp, CellId)> = patient_history
+        let window: Vec<(usize, CellId)> = patient_history
             .iter()
             .filter(|&&(t, _)| t >= from && t < to)
+            .map(|&(t, c)| (t as usize, c))
             .collect();
-        for &&(t, cell) in &window {
-            for user in db.users_at(cell, t) {
-                if user != patient {
-                    *counts.entry(user).or_insert(0) += 1;
-                }
-            }
-        }
-        let mut flagged: Vec<UserId> = counts
-            .into_iter()
-            .filter(|&(_, n)| n >= self.rule.min_co_occurrences)
-            .map(|(u, _)| u)
+        let min = self.rule.min_co_occurrences.max(1) as usize;
+        let mut flagged: Vec<UserId> = db
+            .trajectories()
+            .iter()
+            .filter(|tr| {
+                tr.user != patient
+                    && window
+                        .iter()
+                        .filter(|&&(t, c)| tr.cells.get(t) == Some(&c))
+                        .count()
+                        >= min
+            })
+            .map(|tr| tr.user)
             .collect();
         flagged.sort_unstable();
         flagged
@@ -217,11 +223,107 @@ mod tests {
     use panda_core::{GraphExponential, LocationPolicyGraph};
     use panda_geo::GridMap;
     use panda_mobility::Trajectory;
+    use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
+    use std::collections::HashMap;
 
     fn grid() -> GridMap {
         GridMap::new(8, 8, 100.0)
+    }
+
+    /// The reference [`ContactTracer::find_contacts`]: epoch-major
+    /// `users_at` scans counted in a `HashMap`.
+    fn find_contacts_by_epoch(
+        rule: ContactRule,
+        db: &TrajectoryDb,
+        patient: UserId,
+        patient_history: &[(Timestamp, CellId)],
+        from: Timestamp,
+        to: Timestamp,
+    ) -> Vec<UserId> {
+        let mut counts: HashMap<UserId, u32> = HashMap::new();
+        for &(t, cell) in patient_history
+            .iter()
+            .filter(|&&(t, _)| t >= from && t < to)
+        {
+            for user in db.users_at(cell, t) {
+                if user != patient {
+                    *counts.entry(user).or_insert(0) += 1;
+                }
+            }
+        }
+        let mut flagged: Vec<UserId> = counts
+            .into_iter()
+            .filter(|&(_, n)| n >= rule.min_co_occurrences)
+            .map(|(u, _)| u)
+            .collect();
+        flagged.sort_unstable();
+        flagged
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The single-pass rule equals the epoch-major reference: empty
+        /// databases, horizon 0, duplicate and out-of-horizon history
+        /// entries, a patient missing from the database, thresholds 0 to 3
+        /// and windows that exclude everything.
+        #[test]
+        fn single_pass_contacts_match_epoch_major(
+            n_users in 0usize..14,
+            horizon in 0usize..8,
+            seed in any::<u64>(),
+            history in prop::collection::vec((0u32..10, 0u32..9), 0..14),
+            duplicated in 0usize..4,
+            patient in 0u32..101,
+            min_co_occurrences in 0u32..4,
+            from in 0u32..10,
+            to in 0u32..10,
+        ) {
+            let db = crate::test_support::random_db(GridMap::new(3, 3, 100.0), n_users, horizon, seed);
+            let mut history: Vec<(Timestamp, CellId)> =
+                history.into_iter().map(|(t, c)| (t, CellId(c))).collect();
+            let repeats: Vec<(Timestamp, CellId)> = history.iter().copied().take(duplicated).collect();
+            history.extend(repeats);
+            let rule = ContactRule { min_co_occurrences };
+            let tracer = ContactTracer { rule };
+            prop_assert_eq!(
+                tracer.find_contacts(&db, UserId(patient), &history, from, to),
+                find_contacts_by_epoch(rule, &db, UserId(patient), &history, from, to)
+            );
+        }
+    }
+
+    /// The rule's edge cases, pinned: threshold 0 flags only co-located
+    /// users, a doubled history entry counts twice, and an empty window
+    /// flags nobody.
+    #[test]
+    fn rule_edge_cases() {
+        let db = truth_db();
+        let g = db.grid().clone();
+        let with = |min_co_occurrences| ContactTracer {
+            rule: ContactRule { min_co_occurrences },
+        };
+        let once = [(2, g.cell(3, 3))];
+        assert_eq!(
+            with(0).find_contacts(&db, UserId(0), &once, 0, 4),
+            vec![UserId(2)]
+        );
+        assert_eq!(with(0).find_contacts(&db, UserId(0), &[], 0, 4), vec![]);
+        let doubled = [(2, g.cell(3, 3)), (2, g.cell(3, 3))];
+        assert_eq!(
+            with(2).find_contacts(&db, UserId(0), &doubled, 0, 4),
+            vec![UserId(2)]
+        );
+        assert_eq!(
+            with(1).find_contacts(&db, UserId(0), &doubled, 4, 4),
+            vec![]
+        );
+        assert_eq!(
+            with(1).find_contacts(&db, UserId(9), &doubled, 0, 4),
+            vec![UserId(2)]
+        );
     }
 
     /// Patient 0 meets user 1 twice (epochs 1, 2) and user 2 once (epoch 3).

@@ -14,7 +14,7 @@
 //!   open-loop Poisson arrivals (sustained reports/sec, p50/p99 flush
 //!   latency), appended as a `streaming` section.
 //! * `--net` — also measure loopback-TCP ingest through the `panda-net`
-//!   gateway against the in-process `submit_batch` baseline (end-to-end
+//!   gateway against the in-process `IngestHandle::submit` baseline (end-to-end
 //!   reports/sec to a fully-landed DB, p50/p99 per-batch ack latency,
 //!   1 vs 4 concurrent clients), appended as a `net` section.
 //! * `--large-graph` — also measure the city-scale distance oracle: index
@@ -44,6 +44,7 @@
 //! size. JSON is assembled by hand (no JSON dependency in the offline
 //! workspace).
 
+use panda_bench::percentile;
 use panda_bench::workload::{geolife, grid};
 use panda_core::release::chunk_rng;
 use panda_core::{
@@ -51,7 +52,7 @@ use panda_core::{
     SamplingTable,
 };
 use panda_geo::CellId;
-use panda_surveillance::ingest::{percentile, IngestConfig};
+use panda_surveillance::ingest::IngestConfig;
 use panda_surveillance::simulation::{run_streaming_simulation, StreamingConfig};
 use panda_surveillance::PolicyConfigurator;
 use rand::rngs::StdRng;
@@ -307,6 +308,7 @@ fn bench_streaming(quick: bool) -> Vec<StreamingRow> {
             let t0 = Instant::now();
             let log = run_streaming_simulation(&truth, &configurator, &cfg, &mut rng);
             let elapsed = t0.elapsed().as_secs_f64();
+            let (flush_p50_ms, flush_p99_ms) = flush_quantiles_ms(&log.metrics);
             StreamingRow {
                 label,
                 max_batch,
@@ -314,13 +316,24 @@ fn bench_streaming(quick: bool) -> Vec<StreamingRow> {
                 lanes: cfg.ingest.release_lanes,
                 reports: log.stats.landed,
                 reports_per_sec: log.stats.landed as f64 / elapsed,
-                flush_p50_ms: log.stats.flush_ms_percentile(0.5),
-                flush_p99_ms: log.stats.flush_ms_percentile(0.99),
+                flush_p50_ms,
+                flush_p99_ms,
                 batches: log.stats.batches,
                 deadline_flushes: log.stats.deadline_flushes,
             }
         })
         .collect()
+}
+
+/// p50 and p99 flush latency in ms, read from a pipeline registry's
+/// `panda_ingest_flush_ns` histogram (log₂-bucket floors; 0 when telemetry
+/// is compiled out).
+fn flush_quantiles_ms(registry: &panda_obs::Registry) -> (f64, f64) {
+    registry
+        .snapshot()
+        .histogram("panda_ingest_flush_ns")
+        .map(|h| (h.quantile(0.5) as f64 / 1e6, h.quantile(0.99) as f64 / 1e6))
+        .unwrap_or((0.0, 0.0))
 }
 
 /// Instrumentation-overhead harness: a saturating in-process ingest run
@@ -366,16 +379,12 @@ fn bench_telemetry(quick: bool) -> Vec<TelemetryRow> {
             let trace = make_trace_for(run, total);
             let t0 = Instant::now();
             for batch in trace.chunks(256) {
-                handle.submit_batch(batch).expect("pipeline alive");
+                handle.submit(batch).expect("pipeline alive");
             }
             drop(handle);
             let stats = pipeline.shutdown();
             let elapsed = t0.elapsed().as_secs_f64();
-            let (p50, p99) = registry
-                .snapshot()
-                .histogram("panda_ingest_flush_ns")
-                .map(|h| (h.quantile(0.5) as f64 / 1e6, h.quantile(0.99) as f64 / 1e6))
-                .unwrap_or((0.0, 0.0));
+            let (p50, p99) = flush_quantiles_ms(&registry);
             TelemetryRow {
                 mode,
                 run,
@@ -389,7 +398,7 @@ fn bench_telemetry(quick: bool) -> Vec<TelemetryRow> {
 }
 
 /// Loopback network ingest: the same batched submission stream pushed (a)
-/// in-process through `IngestHandle::submit_batch` and (b) over TCP
+/// in-process through `IngestHandle::submit` and (b) over TCP
 /// through the `panda-net` gateway and client SDK, at 1 and 4 concurrent
 /// producers. Wall-clock runs from the first submit to a fully-landed DB
 /// (pipeline drained), so `reports_per_sec` is end-to-end; ack latency is
@@ -439,7 +448,7 @@ fn bench_net(quick: bool) -> Vec<NetRow> {
                                 let mut lat = Vec::with_capacity(per_client / chunk + 1);
                                 for batch in trace.chunks(chunk) {
                                     let b0 = Instant::now();
-                                    handle.submit_batch(batch).expect("pipeline alive");
+                                    handle.submit(batch).expect("pipeline alive");
                                     lat.push(b0.elapsed().as_secs_f64() * 1e3);
                                 }
                                 lat
@@ -549,7 +558,7 @@ fn bench_cluster(quick: bool) -> Vec<ClusterRow> {
         let mut lat = Vec::with_capacity(total / chunk + 1);
         for batch in trace.chunks(chunk) {
             let b0 = Instant::now();
-            handle.submit_batch(batch).expect("pipeline alive");
+            handle.submit(batch).expect("pipeline alive");
             lat.push(b0.elapsed().as_secs_f64() * 1e3);
         }
         let stats = pipeline.shutdown();

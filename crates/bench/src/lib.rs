@@ -137,6 +137,17 @@ where
     out.into_iter().map(|r| r.expect("slot filled")).collect()
 }
 
+/// The `p`-th percentile (0 < p ≤ 1) of an ascending-sorted sample by the
+/// ceil-index rule, 0.0 on an empty sample — the one formula the latency
+/// benchmarks share, so their reported p50/p99 stay comparable.
+pub fn percentile(sorted: &[f64], p: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    let idx = ((sorted.len() as f64 * p).ceil() as usize).clamp(1, sorted.len()) - 1;
+    sorted[idx]
+}
+
 /// Formats a float with 3 decimal places (table helper).
 pub fn f3(x: f64) -> String {
     format!("{x:.3}")

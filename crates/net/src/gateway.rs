@@ -6,14 +6,16 @@
 //! client frame in order (the socket machinery is the shared
 //! [`crate::listener`] core, also behind the shard router):
 //!
-//! * [`Frame::Submit`] / [`Frame::SubmitBatch`] → `try_submit` /
-//!   `try_submit_batch` on the pipeline queue. Success is
+//! * every submission frame — [`Frame::Submit`], [`Frame::SubmitBatch`],
+//!   [`Frame::Report`] and [`Frame::SubmitSequenced`] — goes through one
+//!   non-blocking `IngestHandle::try_submit` on the pipeline queue, its
+//!   decoded reports passed as they are (pending reports, an
+//!   already-perturbed client-side release from the re-send protocol that
+//!   lands verbatim, or upstream-stamped reports). Success is
 //!   [`Frame::Ack`]`{accepted}`; a full queue is
-//!   [`Frame::Nack`]`{Backpressure, accepted}` (for a batch, `accepted`
-//!   counts the enqueued prefix) — the handler **never blocks on the
-//!   queue**, so one slow pipeline cannot wedge every socket thread;
-//! * [`Frame::Report`] → `try_submit_released`: an already-perturbed
-//!   client-side release (the re-send protocol's output) lands verbatim;
+//!   [`Frame::Nack`]`{Backpressure, accepted}` (`accepted` counts the
+//!   enqueued prefix) — the handler **never blocks on the queue**, so one
+//!   slow pipeline cannot wedge every socket thread;
 //! * [`Frame::Fetch`] → answers with the user's oldest pending
 //!   [`Frame::Assign`] / [`Frame::Resend`] from the gateway [`Mailbox`],
 //!   or `Ack{0}` when none is pending;
@@ -24,7 +26,7 @@
 //!   must not rewrite everyone's privacy policy. [`Frame::Assign`] and
 //!   [`Frame::Resend`] are operator-plane too: they enqueue the
 //!   server-initiated half of the re-send protocol into the mailbox;
-//! * [`Frame::SubmitSequenced`] → only on a shard plane
+//! * [`Frame::SubmitSequenced`] is honoured only on a shard plane
 //!   ([`GatewayConfig::shard_plane`]): upstream-stamped arrival sequence
 //!   numbers key the RNG streams, so accepting them from untrusted
 //!   clients would let a reporter choose its noise;
@@ -46,7 +48,7 @@ use crate::wire::{clamp_stats_text, encode_frame, Frame, NackReason};
 use panda_check::ordered::{rank, OrderedMutex};
 use panda_core::PolicyIndex;
 use panda_obs::{Counter, Registry};
-use panda_surveillance::ingest::{IngestHandle, TrySubmitError, TrySwitchError};
+use panda_surveillance::ingest::{Entry, IngestHandle};
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -405,40 +407,14 @@ impl FrameService for PipelineService {
         replies: &mut Vec<u8>,
     ) -> Disposition {
         match frame {
-            Frame::Submit(report) => {
-                let outcome = match self.ingest.try_submit(report) {
-                    Ok(()) => Ok(1),
-                    Err(TrySubmitError::Full(_)) => Err((NackReason::Backpressure, 0)),
-                    Err(TrySubmitError::Closed(_)) => Err((NackReason::Closed, 0)),
-                };
-                self.reply_submission(conn, 1, outcome, replies)
-            }
-            Frame::SubmitBatch(reports) => {
-                let outcome = match self.ingest.try_submit_batch(&reports) {
-                    Ok(accepted) if accepted == reports.len() => Ok(accepted),
-                    Ok(accepted) => Err((NackReason::Backpressure, accepted)),
-                    Err(_) => Err((NackReason::Closed, 0)),
-                };
-                self.reply_submission(conn, reports.len(), outcome, replies)
-            }
-            Frame::Report(report) => {
-                let outcome = match self.ingest.try_submit_released(&[report]) {
-                    Ok(1) => Ok(1),
-                    Ok(_) => Err((NackReason::Backpressure, 0)),
-                    Err(_) => Err((NackReason::Closed, 0)),
-                };
-                self.reply_submission(conn, 1, outcome, replies)
-            }
+            Frame::Submit(report) => self.submit(conn, &[report], replies),
+            Frame::SubmitBatch(reports) => self.submit(conn, &reports, replies),
+            Frame::Report(report) => self.submit(conn, &[report], replies),
             Frame::SubmitSequenced(reports) => {
                 if !self.config.allow_sequenced_submit {
                     return self.violation(conn, replies);
                 }
-                let outcome = match self.ingest.try_submit_sequenced(&reports) {
-                    Ok(accepted) if accepted == reports.len() => Ok(accepted),
-                    Ok(accepted) => Err((NackReason::Backpressure, accepted)),
-                    Err(_) => Err((NackReason::Closed, 0)),
-                };
-                self.reply_submission(conn, reports.len(), outcome, replies)
+                self.submit(conn, &reports, replies)
             }
             Frame::Fetch { user } => {
                 let reply = match self.mailbox.fetch(user) {
@@ -481,33 +457,18 @@ impl FrameService for PipelineService {
                 // handler contract is that socket threads never park on
                 // the queue. The operator client retries on backpressure
                 // like a submit.
-                let reply = match self
+                let outcome = match self
                     .ingest
-                    .try_switch_policy(Arc::new(PolicyIndex::new(policy)))
+                    .try_switch_policy(&Arc::new(PolicyIndex::new(policy)))
                 {
-                    Ok(()) => {
+                    Ok(true) => {
                         self.stats.policy_switches.inc();
-                        Frame::Ack { accepted: 0 }
+                        Ok(0)
                     }
-                    Err(TrySwitchError::Full(_)) => {
-                        self.stats.backpressure_nacks.inc();
-                        conn.nacked.inc();
-                        Frame::Nack {
-                            reason: NackReason::Backpressure,
-                            accepted: 0,
-                        }
-                    }
-                    Err(TrySwitchError::Closed(_)) => {
-                        self.stats.closed_nacks.inc();
-                        conn.nacked.inc();
-                        Frame::Nack {
-                            reason: NackReason::Closed,
-                            accepted: 0,
-                        }
-                    }
+                    Ok(false) => Err((NackReason::Backpressure, 0)),
+                    Err(_) => Err((NackReason::Closed, 0)),
                 };
-                encode_frame(&reply, replies);
-                Disposition::Continue
+                self.reply(conn, outcome, replies)
             }
             Frame::StatsRequest => {
                 if !self.config.allow_wire_policy_switch {
@@ -538,13 +499,29 @@ impl FrameService for PipelineService {
 }
 
 impl PipelineService {
-    /// Encodes the Ack/Nack for a submission of `len` reports whose
-    /// try-path accepted `Ok(n)` or refused with a reason and an accepted
-    /// prefix, updating gateway and per-connection counters.
-    fn reply_submission(
+    /// Offers `entries` to the pipeline without blocking and answers with
+    /// the accepted prefix: `Ack` when all of it fits, else `Nack` with
+    /// the reason.
+    fn submit<E: Copy + Into<Entry>>(
         &self,
         conn: &Arc<ConnCounters>,
-        _len: usize,
+        entries: &[E],
+        replies: &mut Vec<u8>,
+    ) -> Disposition {
+        let outcome = match self.ingest.try_submit(entries) {
+            Ok(accepted) if accepted == entries.len() => Ok(accepted),
+            Ok(accepted) => Err((NackReason::Backpressure, accepted)),
+            Err(_) => Err((NackReason::Closed, 0)),
+        };
+        self.reply(conn, outcome, replies)
+    }
+
+    /// Encodes the Ack/Nack for an outcome that accepted `Ok(n)` or
+    /// refused with a reason and an accepted prefix, updating gateway and
+    /// per-connection counters.
+    fn reply(
+        &self,
+        conn: &Arc<ConnCounters>,
         outcome: Result<usize, (NackReason, usize)>,
         replies: &mut Vec<u8>,
     ) -> Disposition {

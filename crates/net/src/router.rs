@@ -13,8 +13,8 @@
 //!   [`shard_of`](panda_surveillance::shard_of) — the same hash the
 //!   monolithic server stripes its shards with — and fans the stamped
 //!   sub-batches to per-shard backends ([`ShardBackend`]): in-process
-//!   [`IngestNode`]s or remote shard gateways over
-//!   [`GatewayClient::submit_sequenced`];
+//!   pipeline handles (`IngestHandle::try_submit`) or remote shard
+//!   gateways over [`GatewayClient::submit_sequenced`];
 //! * **accounts honestly**: each backend accepts a prefix of its
 //!   sub-batch, and the client is acked exactly the contiguous accepted
 //!   prefix of *its stream*. A report whose shard backpressured is nacked
@@ -51,8 +51,7 @@ use panda_check::ordered::{rank, OrderedMutex};
 use panda_core::LocationPolicyGraph;
 use panda_core::PolicyIndex;
 use panda_obs::{Counter, Histogram, Registry};
-use panda_surveillance::ingest::{PendingReport, SequencedReport, TrySwitchError};
-use panda_surveillance::node::IngestNode;
+use panda_surveillance::ingest::{IngestHandle, PendingReport, SequencedReport};
 use panda_surveillance::shard_of;
 use std::collections::VecDeque;
 use std::net::{SocketAddr, ToSocketAddrs};
@@ -62,11 +61,11 @@ use std::time::Duration;
 
 /// One shard's downstream link from the router.
 pub enum ShardBackend {
-    /// An in-process node (a
-    /// [`ShardNode`](panda_surveillance::node::ShardNode) or a plain
-    /// pipeline handle) — the zero-copy topology for tests, benches and
-    /// single-process deployments.
-    Local(Arc<dyn IngestNode>),
+    /// An in-process node's queue (a
+    /// [`ShardNode::handle`](panda_surveillance::node::ShardNode::handle)
+    /// or a plain pipeline handle) — the zero-copy topology for tests,
+    /// benches and single-process deployments.
+    Local(IngestHandle),
     /// A remote shard node behind its own gateway, reached over one
     /// persistent connection on the shard plane
     /// ([`GatewayConfig::shard_plane`]). Build with
@@ -87,7 +86,7 @@ impl ShardBackend {
     /// landed, so it must not ack them.
     fn submit_sequenced(&self, reports: &[SequencedReport]) -> Result<usize, ()> {
         match self {
-            ShardBackend::Local(node) => node.try_submit_sequenced(reports).map_err(|_| ()),
+            ShardBackend::Local(handle) => handle.try_submit(reports).map_err(|_| ()),
             ShardBackend::Remote(client) => client.lock().submit_sequenced(reports).map_err(|_| ()),
         }
     }
@@ -101,19 +100,21 @@ impl ShardBackend {
         backoff: Duration,
     ) -> Result<(), NackReason> {
         match self {
-            ShardBackend::Local(node) => {
+            ShardBackend::Local(handle) => {
+                // Built once: a full queue retries the same index.
+                let index = Arc::new(PolicyIndex::new(policy.clone()));
                 let mut attempts = 0u32;
                 loop {
-                    match node.try_switch_policy(Arc::new(PolicyIndex::new(policy.clone()))) {
-                        Ok(()) => return Ok(()),
-                        Err(TrySwitchError::Full(_)) => {
+                    match handle.try_switch_policy(&index) {
+                        Ok(true) => return Ok(()),
+                        Ok(false) => {
                             attempts += 1;
                             if attempts >= retries.max(1) {
                                 return Err(NackReason::Backpressure);
                             }
                             std::thread::sleep(backoff);
                         }
-                        Err(TrySwitchError::Closed(_)) => return Err(NackReason::Closed),
+                        Err(_) => return Err(NackReason::Closed),
                     }
                 }
             }

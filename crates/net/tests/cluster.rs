@@ -13,7 +13,7 @@ use panda_net::{
     ServerMessage, ShardBackend, ShardRouter,
 };
 use panda_surveillance::ingest::{IngestConfig, IngestPipeline, PendingReport};
-use panda_surveillance::node::{merge_reported_dbs, IngestNode, ShardNode};
+use panda_surveillance::node::{merge_reported_dbs, ShardNode};
 use panda_surveillance::protocol::PolicyAssignment;
 use panda_surveillance::{shard_of, Server};
 use rand::rngs::StdRng;
@@ -61,7 +61,7 @@ fn reference_db(
     );
     let handle = pipeline.handle();
     for &r in reports {
-        handle.submit(r).unwrap();
+        handle.submit(&[r]).unwrap();
     }
     pipeline.shutdown();
     server.reported_db(HORIZON).trajectories().to_vec()
@@ -274,7 +274,7 @@ fn policy_broadcast_is_all_or_nothing_with_rollback() {
         .collect();
     let backends: Vec<ShardBackend> = pipelines
         .iter()
-        .map(|p| ShardBackend::Local(Arc::new(p.handle()) as Arc<dyn IngestNode>))
+        .map(|p| ShardBackend::Local(p.handle()))
         .collect();
     let mut router = ShardRouter::bind("127.0.0.1:0", backends, RouterConfig::default()).unwrap();
     let operator_addr = router.bind_operator("127.0.0.1:0").unwrap();

@@ -93,7 +93,7 @@ fn tcp_delivery_matches_in_process_submission() {
         );
         let handle = ref_pipeline.handle();
         for &r in &trace {
-            handle.submit(r).unwrap();
+            handle.submit(&[r]).unwrap();
         }
         let ref_stats = ref_pipeline.shutdown();
         assert_eq!(ref_stats.landed, trace.len());
@@ -233,7 +233,7 @@ fn resend_over_tcp_matches_in_process_budget_and_db() {
     let mut rng = SmallRng::seed_from_u64(5);
     let reports = alice.handle_resend(&request, &mut rng).unwrap();
     assert!(!reports.is_empty(), "the window must re-send something");
-    ref_pipeline.handle().submit_released(&reports).unwrap();
+    ref_pipeline.handle().submit(&reports).unwrap();
     ref_pipeline.shutdown();
 
     // Over the wire: same request, same client state, same rng seed —
@@ -755,7 +755,7 @@ fn concurrent_scraping_never_perturbs_the_landed_db() {
         config.clone(),
     );
     for &r in &trace {
-        ref_pipeline.handle().submit(r).unwrap();
+        ref_pipeline.handle().submit(&[r]).unwrap();
     }
     ref_pipeline.shutdown();
     let ref_db = ref_server.reported_db(horizon);

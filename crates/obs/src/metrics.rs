@@ -21,6 +21,13 @@ impl Counter {
         Self::default()
     }
 
+    /// A counter that reads `cell`, a count its owner bumps itself. The
+    /// owner's increments count under `--cfg panda_obs_off` too, so state
+    /// the program needs can be scraped without living in telemetry.
+    pub fn reading(cell: Arc<AtomicU64>) -> Self {
+        Counter { inner: cell }
+    }
+
     /// Adds one.
     #[inline]
     pub fn inc(&self) {

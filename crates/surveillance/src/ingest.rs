@@ -4,8 +4,10 @@
 //! perturbed locations continuously, not as one offline bulk replay. This
 //! module is the server-side front end for that regime:
 //!
-//! * producers push [`PendingReport`]s through a **bounded MPMC queue**
-//!   ([`IngestHandle::submit`] blocks at capacity — backpressure, never an
+//! * producers push [`Entry`]s through a **bounded MPMC queue** — one
+//!   entry point for every kind of report: [`IngestHandle::try_submit`]
+//!   enqueues the prefix that fits and never blocks,
+//!   [`IngestHandle::submit`] blocks at capacity (backpressure, never an
 //!   unbounded backlog);
 //! * a collector thread **micro-batches** the stream under a size/deadline
 //!   flush policy: a batch goes out when it reaches
@@ -21,10 +23,11 @@
 //!
 //! Every report is perturbed from its own RNG stream, keyed by the
 //! pipeline seed and the report's **arrival sequence number** (its position
-//! in the queue order). Batch boundaries therefore do not touch the
-//! sampling streams: for a fixed seed and a fixed arrival order the
-//! released cells are bit-identical regardless of flush timing, micro-batch
-//! sizes, release-lane count, or pool size.
+//! in the queue order, or the position a routing tier stamped upstream).
+//! Batch boundaries therefore do not touch the sampling streams: for a
+//! fixed seed and a fixed arrival order the released cells are
+//! bit-identical regardless of flush timing, micro-batch sizes,
+//! release-lane count, or pool size.
 //!
 //! Caveats: (1) the *arrival order* is the contract — concurrent producers
 //! interleave nondeterministically, so cross-producer reproducibility
@@ -35,7 +38,7 @@
 //! across *separate* pipelines (or submitting after shutdown began) forfeits
 //! that ordering.
 //!
-//! Policy updates ride the same queue ([`IngestPipeline::switch_policy`]):
+//! Policy updates ride the same queue ([`IngestHandle::switch_policy`]):
 //! a switch flushes the batch in progress, then applies to every later
 //! report — epoch boundaries in the streaming simulation map onto exactly
 //! this mechanism.
@@ -127,8 +130,9 @@ impl Default for IngestConfig {
     }
 }
 
-/// Counters and latency trace of a pipeline's lifetime, returned by
-/// [`IngestPipeline::shutdown`].
+/// Counters of a pipeline's lifetime, returned by
+/// [`IngestPipeline::shutdown`]. Flush latency lives in the registry's
+/// `panda_ingest_flush_ns` histogram ([`IngestHandle::metrics`]).
 #[derive(Debug, Clone, Default)]
 pub struct IngestStats {
     /// Reports that entered the collector.
@@ -147,153 +151,60 @@ pub struct IngestStats {
     pub forced_flushes: usize,
     /// Policy switches applied.
     pub policy_switches: usize,
-    /// Per-flush wall-clock latency (release + server landing), in ms —
-    /// the most recent [`FLUSH_LATENCY_WINDOW`] flushes (ring-buffered so
-    /// an indefinitely-running pipeline keeps bounded memory).
-    pub flush_ms: Vec<f64>,
 }
 
-/// How many per-flush latencies [`IngestStats::flush_ms`] retains: a
-/// sliding window wide enough for stable p99 estimates, small enough
-/// (64 KiB) that a pipeline running for months stays bounded.
-pub const FLUSH_LATENCY_WINDOW: usize = 8192;
+/// One report entering the ingest queue. The variant fixes how the
+/// report gets its arrival sequence number and its landed cell.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Entry {
+    /// Takes the next local sequence number and is released from
+    /// `chunk_rng(seed, seq)`.
+    Pending(PendingReport),
+    /// Uses the sequence number stamped upstream; released or landed as
+    /// sent according to [`SequencedReport::released`].
+    Sequenced(SequencedReport),
+    /// An already-perturbed report (a client-side release such as a
+    /// re-send): takes the next local sequence number, which fixes its
+    /// place in the `(user, epoch)` overwrite order, and lands as sent.
+    Released(LocationReport),
+}
 
-impl IngestStats {
-    /// The `p`-th percentile (0 < p ≤ 1) of per-flush latency over the
-    /// retained window, in ms.
-    pub fn flush_ms_percentile(&self, p: f64) -> f64 {
-        let mut sorted = self.flush_ms.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-        percentile(&sorted, p)
+impl From<PendingReport> for Entry {
+    fn from(report: PendingReport) -> Self {
+        Entry::Pending(report)
     }
 }
 
-/// The `p`-th percentile (0 < p ≤ 1) of an ascending-sorted sample by the
-/// ceil-index rule, 0.0 on an empty sample — the one formula shared by the
-/// pipeline stats and the latency benchmarks, so their reported p50/p99
-/// stay comparable.
-pub fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
+impl From<SequencedReport> for Entry {
+    fn from(report: SequencedReport) -> Self {
+        Entry::Sequenced(report)
     }
-    let idx = ((sorted.len() as f64 * p).ceil() as usize).clamp(1, sorted.len()) - 1;
-    sorted[idx]
 }
 
-/// Submit failed: the pipeline has shut down. Carries the first report
-/// that did not make it into the queue.
-#[derive(Debug, PartialEq, Eq)]
-pub struct SubmitError(pub PendingReport);
+impl From<LocationReport> for Entry {
+    fn from(report: LocationReport) -> Self {
+        Entry::Released(report)
+    }
+}
 
-impl std::fmt::Display for SubmitError {
+/// The pipeline has shut down, so nothing more can be enqueued.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Closed;
+
+impl std::fmt::Display for Closed {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "ingest pipeline has shut down (user {}, epoch {} not enqueued)",
-            self.0.user.0, self.0.epoch
-        )
+        f.write_str("ingest pipeline has shut down")
     }
 }
 
-impl std::error::Error for SubmitError {}
-
-/// Why a [`IngestHandle::try_submit`] did not enqueue.
-#[derive(Debug, PartialEq, Eq)]
-pub enum TrySubmitError {
-    /// The queue is at capacity right now (backpressure).
-    Full(PendingReport),
-    /// The pipeline has shut down.
-    Closed(PendingReport),
-}
-
-impl std::fmt::Display for TrySubmitError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let (reason, r) = match self {
-            TrySubmitError::Full(r) => ("ingest queue is at capacity", r),
-            TrySubmitError::Closed(r) => ("ingest pipeline has shut down", r),
-        };
-        write!(
-            f,
-            "{reason} (user {}, epoch {} not enqueued)",
-            r.user.0, r.epoch
-        )
-    }
-}
-
-impl std::error::Error for TrySubmitError {}
-
-/// A policy switch failed: the pipeline has shut down (at which point the
-/// switch is moot — no further report will be released).
-#[derive(Debug, PartialEq, Eq)]
-pub struct SwitchError;
-
-impl std::fmt::Display for SwitchError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("ingest pipeline has shut down; policy switch not applied")
-    }
-}
-
-impl std::error::Error for SwitchError {}
-
-/// Why a [`IngestHandle::try_switch_policy`] did not enqueue. The index is
-/// handed back so the caller can retry without rebuilding it.
-#[derive(Debug)]
-pub enum TrySwitchError {
-    /// The queue is at capacity right now (backpressure).
-    Full(Arc<PolicyIndex>),
-    /// The pipeline has shut down.
-    Closed(Arc<PolicyIndex>),
-}
-
-impl std::fmt::Display for TrySwitchError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            TrySwitchError::Full(_) => "ingest queue is at capacity; policy switch not enqueued",
-            TrySwitchError::Closed(_) => "ingest pipeline has shut down; policy switch not applied",
-        })
-    }
-}
-
-impl std::error::Error for TrySwitchError {}
+impl std::error::Error for Closed {}
 
 /// Messages riding the ingest queue: reports, in-band policy switches, and
 /// the shutdown marker.
 enum IngestMsg {
-    Report(PendingReport),
-    Sequenced(SequencedReport),
-    Released(LocationReport),
+    Report(Entry),
     Switch(Arc<PolicyIndex>),
     Stop,
-}
-
-/// Recovers the report from a failed batch send (batch sends only ever
-/// enqueue [`IngestMsg::Report`]s).
-fn unsent_report(msg: IngestMsg) -> PendingReport {
-    match msg {
-        IngestMsg::Report(r) => r,
-        _ => unreachable!("batch sends carry only reports"),
-    }
-}
-
-/// Recovers the first unsent report from a failed sequenced batch send.
-fn unsent_sequenced(msg: IngestMsg) -> PendingReport {
-    match msg {
-        IngestMsg::Sequenced(s) => s.report,
-        _ => unreachable!("sequenced batch sends carry only sequenced reports"),
-    }
-}
-
-/// Recovers the first unsent report from a failed released batch send.
-fn unsent_released(msg: IngestMsg) -> PendingReport {
-    match msg {
-        IngestMsg::Released(r) => PendingReport {
-            user: r.user,
-            epoch: r.epoch,
-            cell: r.cell,
-            resend: r.resend,
-        },
-        _ => unreachable!("released batch sends carry only released reports"),
-    }
 }
 
 /// A cloneable producer handle onto a pipeline's bounded queue.
@@ -304,160 +215,65 @@ pub struct IngestHandle {
 }
 
 impl IngestHandle {
-    /// Enqueues a report, blocking while the queue is at capacity.
+    /// Enqueues the longest prefix of `entries` that fits right now, under
+    /// one queue-lock acquisition, and returns its length. `Ok(0)` for a
+    /// non-empty slice means the queue is full; a short count means it
+    /// filled mid-slice — retry from that offset, order is preserved.
+    /// Never blocks, so a socket or router thread can call it.
     ///
     /// # Errors
     ///
-    /// [`SubmitError`] when the pipeline has shut down.
-    pub fn submit(&self, report: PendingReport) -> Result<(), SubmitError> {
+    /// [`Closed`] when the pipeline has shut down (nothing from this call
+    /// is enqueued).
+    pub fn try_submit<E: Copy + Into<Entry>>(&self, entries: &[E]) -> Result<usize, Closed> {
         self.tx
-            .send(IngestMsg::Report(report))
-            .map_err(|_| SubmitError(report))
+            .try_send_batch(entries.iter().map(|&e| IngestMsg::Report(e.into())))
+            .map_err(|_| Closed)
     }
 
-    /// Enqueues a report only if the queue has room right now.
+    /// Enqueues all of `entries` in order, blocking while the queue is at
+    /// capacity. The queue lock is taken once per run of free slots, and
+    /// no other producer's entries interleave within a run. Lands exactly
+    /// what one-at-a-time submission would (same sequence numbers, same
+    /// released cells).
     ///
     /// # Errors
     ///
-    /// [`TrySubmitError::Full`] at capacity, [`TrySubmitError::Closed`]
-    /// when the pipeline has shut down.
-    pub fn try_submit(&self, report: PendingReport) -> Result<(), TrySubmitError> {
+    /// [`Closed`] when the pipeline has shut down; a prefix of the slice
+    /// may already be enqueued (and is drained if it entered before
+    /// shutdown).
+    pub fn submit<E: Copy + Into<Entry>>(&self, entries: &[E]) -> Result<(), Closed> {
         self.tx
-            .try_send(IngestMsg::Report(report))
-            .map_err(|e| match e {
-                TrySendError::Full(_) => TrySubmitError::Full(report),
-                TrySendError::Disconnected(_) => TrySubmitError::Closed(report),
-            })
-    }
-
-    /// Enqueues a whole slice in submission order, blocking while the queue
-    /// is at capacity. The queue lock is taken **once per run of free
-    /// slots** — for a batch that fits, one acquisition instead of one per
-    /// report — and no other producer's reports interleave within a run.
-    /// Equivalent to calling [`IngestHandle::submit`] per report (same
-    /// arrival sequence numbers, same released cells), just cheaper.
-    ///
-    /// # Errors
-    ///
-    /// [`SubmitError`] carrying the first unsent report when the pipeline
-    /// has shut down; a prefix of the slice may already be enqueued (and
-    /// will be drained if it entered before shutdown).
-    pub fn submit_batch(&self, reports: &[PendingReport]) -> Result<(), SubmitError> {
-        self.tx
-            .send_batch(reports.iter().map(|&r| IngestMsg::Report(r)))
+            .send_batch(entries.iter().map(|&e| IngestMsg::Report(e.into())))
             .map(|_| ())
-            .map_err(|e| SubmitError(unsent_report(e.0)))
+            .map_err(|_| Closed)
     }
 
-    /// Enqueues the longest prefix of `reports` that fits right now, under
-    /// one queue-lock acquisition, and returns its length. A return shorter
-    /// than the slice means the queue filled mid-batch (backpressure) —
-    /// retry from that offset; order is preserved.
+    /// Switches the policy index for all later reports if the queue has
+    /// room right now: `Ok(true)` when enqueued, `Ok(false)` at capacity
+    /// (the caller keeps `index` for a retry). The switch rides the queue
+    /// in-band: the batch in progress is flushed first, so it is a clean
+    /// boundary at this handle's position in the arrival order.
     ///
     /// # Errors
     ///
-    /// [`TrySubmitError::Closed`] carrying the first report when the
-    /// pipeline has shut down (nothing from this call is enqueued).
-    /// [`TrySubmitError::Full`] is never returned: a full queue is the
-    /// `Ok(n < reports.len())` case, so partial progress is not an error.
-    pub fn try_submit_batch(&self, reports: &[PendingReport]) -> Result<usize, TrySubmitError> {
-        self.tx
-            .try_send_batch(reports.iter().map(|&r| IngestMsg::Report(r)))
-            .map_err(|e| TrySubmitError::Closed(unsent_report(e.0)))
+    /// [`Closed`] when the pipeline has shut down.
+    pub fn try_switch_policy(&self, index: &Arc<PolicyIndex>) -> Result<bool, Closed> {
+        match self.tx.try_send(IngestMsg::Switch(Arc::clone(index))) {
+            Ok(()) => Ok(true),
+            Err(TrySendError::Full(_)) => Ok(false),
+            Err(TrySendError::Disconnected(_)) => Err(Closed),
+        }
     }
 
-    /// Enqueues the longest prefix of upstream-sequenced reports that fits
-    /// right now (one queue-lock acquisition) and returns its length, with
-    /// the same prefix/backpressure contract as
-    /// [`IngestHandle::try_submit_batch`].
-    ///
-    /// This is the shard-node entry point: the routing tier stamps each
-    /// report with its client-stream position, and this pipeline releases
-    /// pending entries from `chunk_rng(seed, seq)` instead of its own
-    /// arrival counter — so an N-node cluster lands byte-identically to
-    /// the single-process pipeline for the same arrival order.
+    /// Like [`IngestHandle::try_switch_policy`], but blocks while the queue
+    /// is at capacity.
     ///
     /// # Errors
     ///
-    /// [`TrySubmitError::Closed`] carrying the first report when the
-    /// pipeline has shut down (nothing from this call is enqueued).
-    pub fn try_submit_sequenced(
-        &self,
-        reports: &[SequencedReport],
-    ) -> Result<usize, TrySubmitError> {
-        self.tx
-            .try_send_batch(reports.iter().map(|&s| IngestMsg::Sequenced(s)))
-            .map_err(|e| TrySubmitError::Closed(unsent_sequenced(e.0)))
-    }
-
-    /// Enqueues the longest prefix of **already-perturbed** reports that
-    /// fits right now and returns its length. Each lands verbatim (no
-    /// policy release, no randomness) at this handle's current position in
-    /// the arrival order — it consumes a local sequence number so the
-    /// `(user, epoch)` overwrite order stays a pure function of queue
-    /// order, but draws nothing from the RNG stream.
-    ///
-    /// This is how client-side releases (the re-send protocol's perturbed
-    /// [`LocationReport`]s) enter the pipeline from the wire.
-    ///
-    /// # Errors
-    ///
-    /// [`TrySubmitError::Closed`] carrying the first report when the
-    /// pipeline has shut down (nothing from this call is enqueued).
-    pub fn try_submit_released(&self, reports: &[LocationReport]) -> Result<usize, TrySubmitError> {
-        self.tx
-            .try_send_batch(reports.iter().map(|&r| IngestMsg::Released(r)))
-            .map_err(|e| TrySubmitError::Closed(unsent_released(e.0)))
-    }
-
-    /// Blocking counterpart of [`IngestHandle::try_submit_released`]:
-    /// enqueues the whole slice in order, waiting out backpressure.
-    ///
-    /// # Errors
-    ///
-    /// [`SubmitError`] carrying the first unsent report when the pipeline
-    /// has shut down; a prefix may already be enqueued.
-    pub fn submit_released(&self, reports: &[LocationReport]) -> Result<(), SubmitError> {
-        self.tx
-            .send_batch(reports.iter().map(|&r| IngestMsg::Released(r)))
-            .map(|_| ())
-            .map_err(|e| SubmitError(unsent_released(e.0)))
-    }
-
-    /// Switches the policy index for all later reports, exactly like
-    /// [`IngestPipeline::switch_policy`] but from a producer handle — the
-    /// switch rides the queue in-band, so it lands at this handle's current
-    /// position in the arrival order. Blocks while the queue is at
-    /// capacity.
-    ///
-    /// # Errors
-    ///
-    /// [`SwitchError`] when the pipeline has shut down.
-    pub fn switch_policy(&self, index: Arc<PolicyIndex>) -> Result<(), SwitchError> {
-        self.tx
-            .send(IngestMsg::Switch(index))
-            .map_err(|_| SwitchError)
-    }
-
-    /// Like [`IngestHandle::switch_policy`], but fails fast instead of
-    /// blocking when the queue is at capacity — for callers (like the
-    /// network gateway) that must never park on the queue. The index is
-    /// handed back for retry.
-    ///
-    /// # Errors
-    ///
-    /// [`TrySwitchError::Full`] at capacity, [`TrySwitchError::Closed`]
-    /// when the pipeline has shut down.
-    pub fn try_switch_policy(&self, index: Arc<PolicyIndex>) -> Result<(), TrySwitchError> {
-        self.tx
-            .try_send(IngestMsg::Switch(index))
-            .map_err(|e| match e {
-                TrySendError::Full(IngestMsg::Switch(index)) => TrySwitchError::Full(index),
-                TrySendError::Disconnected(IngestMsg::Switch(index)) => {
-                    TrySwitchError::Closed(index)
-                }
-                _ => unreachable!("a switch send carries a switch message"),
-            })
+    /// [`Closed`] when the pipeline has shut down.
+    pub fn switch_policy(&self, index: Arc<PolicyIndex>) -> Result<(), Closed> {
+        self.tx.send(IngestMsg::Switch(index)).map_err(|_| Closed)
     }
 
     /// The pipeline's metric registry: the collector's ingest-side
@@ -553,15 +369,6 @@ impl IngestPipeline {
         Arc::clone(&self.registry)
     }
 
-    /// Switches the policy index for all later reports, in-band: the batch
-    /// in progress is flushed first, so a switch is a clean boundary in the
-    /// landed stream.
-    pub fn switch_policy(&self, index: Arc<PolicyIndex>) {
-        // The collector outlives the pipeline's own sender, so this only
-        // fails after shutdown — at which point a switch is a no-op anyway.
-        let _ = self.tx.send(IngestMsg::Switch(index));
-    }
-
     /// Shuts down: everything queued before this call is flushed and
     /// landed, then the collector exits and its stats are returned.
     ///
@@ -637,8 +444,6 @@ struct Collector {
     /// When the oldest pending report arrived (deadline anchor).
     oldest: Option<Instant>,
     next_seq: u64,
-    /// Ring cursor into `stats.flush_ms` once the window is full.
-    flush_cursor: usize,
     stats: IngestStats,
     metrics: IngestMetrics,
     /// Kept to re-register a switched-in index's cache handles.
@@ -680,7 +485,6 @@ impl Collector {
             pending: Vec::new(),
             oldest: None,
             next_seq: 0,
-            flush_cursor: 0,
             stats: IngestStats::default(),
             metrics,
             registry,
@@ -722,34 +526,34 @@ impl Collector {
                 }
             };
             match msg {
-                Some(IngestMsg::Report(report)) => {
-                    let entry = SequencedReport {
-                        seq: self.next_seq,
+                Some(IngestMsg::Report(entry)) => {
+                    let (report, released) = match entry {
+                        Entry::Sequenced(s) => {
+                            // Keep the local counter ahead of upstream
+                            // stamps so a pipeline fed from both paths
+                            // never reuses a stream.
+                            self.next_seq = self.next_seq.max(s.seq.saturating_add(1));
+                            self.push_entry(s);
+                            continue;
+                        }
+                        Entry::Pending(report) => (report, false),
+                        Entry::Released(r) => {
+                            let report = PendingReport {
+                                user: r.user,
+                                epoch: r.epoch,
+                                cell: r.cell,
+                                resend: r.resend,
+                            };
+                            (report, true)
+                        }
+                    };
+                    let seq = self.next_seq;
+                    self.next_seq += 1;
+                    self.push_entry(SequencedReport {
+                        seq,
                         report,
-                        released: false,
-                    };
-                    self.next_seq += 1;
-                    self.push_entry(entry);
-                }
-                Some(IngestMsg::Sequenced(entry)) => {
-                    // Keep the local counter ahead of upstream stamps so a
-                    // pipeline fed from both paths never reuses a stream.
-                    self.next_seq = self.next_seq.max(entry.seq.saturating_add(1));
-                    self.push_entry(entry);
-                }
-                Some(IngestMsg::Released(r)) => {
-                    let entry = SequencedReport {
-                        seq: self.next_seq,
-                        report: PendingReport {
-                            user: r.user,
-                            epoch: r.epoch,
-                            cell: r.cell,
-                            resend: r.resend,
-                        },
-                        released: true,
-                    };
-                    self.next_seq += 1;
-                    self.push_entry(entry);
+                        released,
+                    });
                 }
                 Some(IngestMsg::Switch(index)) => {
                     // Flush under the old policy first: the switch is a
@@ -855,16 +659,7 @@ impl Collector {
             FlushCause::Deadline => self.stats.deadline_flushes += 1,
             FlushCause::Forced => self.stats.forced_flushes += 1,
         }
-        let ns = clock::ns_since(t0);
-        self.metrics.flush_ns.record(ns);
-        let ms = ns as f64 / 1e6;
-        if self.stats.flush_ms.len() < FLUSH_LATENCY_WINDOW {
-            self.stats.flush_ms.push(ms);
-        } else {
-            // Window full: overwrite the oldest sample (ring).
-            self.stats.flush_ms[self.flush_cursor] = ms;
-            self.flush_cursor = (self.flush_cursor + 1) % FLUSH_LATENCY_WINDOW;
-        }
+        self.metrics.flush_ns.record(clock::ns_since(t0));
     }
 }
 
@@ -962,7 +757,7 @@ mod tests {
         );
         let handle = pipeline.handle();
         for &r in trace {
-            handle.submit(r).unwrap();
+            handle.submit(&[r]).unwrap();
         }
         let stats = pipeline.shutdown();
         (server, stats)
@@ -1066,12 +861,12 @@ mod tests {
                 std::thread::spawn(move || {
                     for i in 0..2_000u32 {
                         handle
-                            .submit(PendingReport {
+                            .submit(&[PendingReport {
                                 user: UserId(p * 10_000 + i % 100),
                                 epoch: (i / 100) as Timestamp,
                                 cell: CellId(i % 64),
                                 resend: false,
-                            })
+                            }])
                             .unwrap();
                     }
                 })
@@ -1102,8 +897,7 @@ mod tests {
         assert_eq!(server.n_received(), 8_000);
     }
 
-    /// try_submit fails fast with Full instead of blocking — and Closed
-    /// after shutdown.
+    /// Every entry point reports `Closed` after shutdown.
     #[test]
     fn try_submit_reports_full_and_closed() {
         let report = PendingReport {
@@ -1121,16 +915,16 @@ mod tests {
         );
         let handle = pipeline.handle();
         pipeline.shutdown();
-        assert_eq!(
-            handle.try_submit(report),
-            Err(TrySubmitError::Closed(report))
-        );
-        assert_eq!(handle.submit(report), Err(SubmitError(report)));
+        assert_eq!(handle.try_submit(&[report]), Err(Closed));
+        assert_eq!(handle.submit(&[report]), Err(Closed));
+        let index = setup(1).1;
+        assert_eq!(handle.try_switch_policy(&index), Err(Closed));
+        assert_eq!(handle.switch_policy(index), Err(Closed));
     }
 
     /// Saturating a tiny queue with a spinning producer must surface
-    /// [`TrySubmitError::Full`] (the backpressure fast-fail the README
-    /// advertises), and every accepted report still lands.
+    /// `Ok(0)` (the backpressure fast-fail the README advertises), and
+    /// every accepted report still lands.
     #[test]
     fn try_submit_full_under_saturated_queue() {
         let (server, index) = setup(16);
@@ -1153,14 +947,13 @@ mod tests {
                 cell: CellId(i % 64),
                 resend: false,
             };
-            match handle.try_submit(r) {
-                Ok(()) => accepted += 1,
-                Err(TrySubmitError::Full(rejected)) => {
-                    assert_eq!(rejected, r, "Full must return the report");
+            match handle.try_submit(&[r]) {
+                Ok(0) => {
                     saw_full = true;
                     break;
                 }
-                Err(TrySubmitError::Closed(_)) => unreachable!("pipeline alive"),
+                Ok(n) => accepted += n,
+                Err(Closed) => unreachable!("pipeline alive"),
             }
         }
         assert!(
@@ -1233,12 +1026,12 @@ mod tests {
         let handle = pipeline.handle();
         for i in 0..120u32 {
             handle
-                .submit(PendingReport {
+                .submit(&[PendingReport {
                     user: UserId(i),
                     epoch: 0,
                     cell: CellId(i % 64),
                     resend: false,
-                })
+                }])
                 .unwrap();
         }
         let stats = pipeline.shutdown();
@@ -1268,12 +1061,12 @@ mod tests {
         let handle = pipeline.handle();
         for i in 0..3u32 {
             handle
-                .submit(PendingReport {
+                .submit(&[PendingReport {
                     user: UserId(i),
                     epoch: 0,
                     cell: CellId(i),
                     resend: false,
-                })
+                }])
                 .unwrap();
         }
         // Only the deadline can flush these; wait for it to fire.
@@ -1312,23 +1105,23 @@ mod tests {
         let handle = pipeline.handle();
         for i in 0..50u32 {
             handle
-                .submit(PendingReport {
+                .submit(&[PendingReport {
                     user: UserId(i),
                     epoch: 0,
                     cell: CellId(i % 64),
                     resend: false,
-                })
+                }])
                 .unwrap();
         }
-        pipeline.switch_policy(Arc::clone(&isolated));
+        handle.switch_policy(Arc::clone(&isolated)).unwrap();
         for i in 0..50u32 {
             handle
-                .submit(PendingReport {
+                .submit(&[PendingReport {
                     user: UserId(i),
                     epoch: 1,
                     cell: CellId(i % 64),
                     resend: false,
-                })
+                }])
                 .unwrap();
         }
         let stats = pipeline.shutdown();
@@ -1411,7 +1204,7 @@ mod tests {
                 );
                 let handle = pipeline.handle();
                 for &r in &trace {
-                    handle.submit(r).unwrap();
+                    handle.submit(&[r]).unwrap();
                 }
                 let stats = pipeline.shutdown();
                 assert_eq!(stats.landed, trace.len());
@@ -1457,7 +1250,7 @@ mod tests {
         );
         let handle = pipeline.handle();
         for &r in &trace {
-            handle.submit(r).unwrap();
+            handle.submit(&[r]).unwrap();
         }
         let stats = pipeline.shutdown();
         assert_eq!(stats.landed, trace.len());
@@ -1476,9 +1269,10 @@ mod tests {
         );
     }
 
-    /// `submit_batch` must be observationally equivalent to repeated
-    /// `submit`: same arrival sequence numbers, hence a byte-identical
-    /// landed DB — batching is purely a locking optimisation.
+    /// Submitting a slice must be observationally equivalent to submitting
+    /// one entry at a time: same arrival sequence numbers, hence a
+    /// byte-identical landed DB — batching is purely a locking
+    /// optimisation.
     #[test]
     fn submit_batch_equivalent_to_repeated_submit() {
         let trace = trace(2_500, 11);
@@ -1504,7 +1298,7 @@ mod tests {
         // overfills the queue, so the blocking path parks mid-batch and
         // resumes as the collector drains.
         for chunk in trace.chunks(700) {
-            handle.submit_batch(chunk).unwrap();
+            handle.submit(chunk).unwrap();
         }
         let stats = pipeline.shutdown();
         assert_eq!(stats.submitted, one_stats.submitted);
@@ -1516,11 +1310,11 @@ mod tests {
         );
     }
 
-    /// `try_submit_batch` enqueues a prefix under backpressure and the
-    /// retried remainder preserves order; against a closed pipeline it
-    /// reports `Closed` with the first report.
+    /// `try_submit` enqueues a prefix under backpressure and the retried
+    /// remainder preserves order; against a closed pipeline a whole slice
+    /// is refused with `Closed`.
     #[test]
-    fn try_submit_batch_prefix_and_closed_semantics() {
+    fn try_submit_prefix_and_closed_semantics() {
         let trace = trace(300, 2);
         let (server, index) = setup(16);
         let pipeline = IngestPipeline::spawn(
@@ -1536,7 +1330,7 @@ mod tests {
         let handle = pipeline.handle();
         let mut sent = 0usize;
         while sent < trace.len() {
-            sent += handle.try_submit_batch(&trace[sent..]).unwrap();
+            sent += handle.try_submit(&trace[sent..]).unwrap();
         }
         let stats = pipeline.shutdown();
         assert_eq!(stats.submitted, trace.len());
@@ -1552,16 +1346,12 @@ mod tests {
         );
         let handle = pipeline.handle();
         pipeline.shutdown();
-        assert_eq!(
-            handle.try_submit_batch(&trace),
-            Err(TrySubmitError::Closed(trace[0]))
-        );
-        assert_eq!(handle.submit_batch(&trace), Err(SubmitError(trace[0])));
-        assert!(matches!(handle.switch_policy(setup(1).1), Err(SwitchError)));
+        assert_eq!(handle.try_submit(&trace), Err(Closed));
+        assert_eq!(handle.submit(&trace), Err(Closed));
     }
 
-    /// A handle-level policy switch is the same in-band boundary as the
-    /// pipeline-level one.
+    /// A non-blocking policy switch, retried while the queue is full, is
+    /// the same in-band boundary as the blocking one.
     #[test]
     fn handle_switch_policy_is_in_band() {
         let grid = GridMap::new(8, 8, 100.0);
@@ -1591,9 +1381,11 @@ mod tests {
             .iter()
             .map(|r| PendingReport { epoch: 1, ..*r })
             .collect();
-        handle.submit_batch(&epoch0).unwrap();
-        handle.switch_policy(Arc::clone(&isolated)).unwrap();
-        handle.submit_batch(&epoch1).unwrap();
+        handle.submit(&epoch0).unwrap();
+        while !handle.try_switch_policy(&isolated).unwrap() {
+            std::thread::yield_now();
+        }
+        handle.submit(&epoch1).unwrap();
         let stats = pipeline.shutdown();
         assert_eq!(stats.policy_switches, 1);
         assert_eq!(stats.landed, 80);
@@ -1606,27 +1398,152 @@ mod tests {
         }
     }
 
-    /// The ingest errors compose with `?` in `std::error::Error` contexts
-    /// and render the failure cause.
+    /// The ingest error composes with `?` in `std::error::Error` contexts
+    /// and renders the failure cause.
     #[test]
     fn submit_errors_are_std_errors() {
-        let r = PendingReport {
-            user: UserId(9),
-            epoch: 3,
-            cell: CellId(0),
-            resend: false,
-        };
-        let errors: Vec<Box<dyn std::error::Error>> = vec![
-            Box::new(SubmitError(r)),
-            Box::new(TrySubmitError::Full(r)),
-            Box::new(TrySubmitError::Closed(r)),
-            Box::new(SwitchError),
-        ];
-        let rendered: Vec<String> = errors.iter().map(|e| e.to_string()).collect();
-        assert!(rendered[0].contains("shut down") && rendered[0].contains("user 9"));
-        assert!(rendered[1].contains("capacity"));
-        assert!(rendered[2].contains("shut down"));
-        assert!(rendered[3].contains("switch"));
+        let error: Box<dyn std::error::Error> = Box::new(Closed);
+        assert!(error.to_string().contains("shut down"));
+    }
+
+    /// Spawns a pipeline over a fresh 16-stripe server, lets `feed`
+    /// submit through its handle, and returns the drained server.
+    fn land(config: IngestConfig, feed: impl FnOnce(&IngestHandle)) -> Arc<Server> {
+        let (server, index) = setup(16);
+        let pipeline = IngestPipeline::spawn(
+            Arc::clone(&server),
+            index,
+            Arc::new(GraphExponential),
+            config,
+        );
+        feed(&pipeline.handle());
+        pipeline.shutdown();
+        server
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        /// A random interleaving of every entry kind lands the same DB
+        /// whether it goes through `try_submit` in random chunks against
+        /// a 4-slot queue, through blocking `submit` one entry at a time,
+        /// or through a sequential model of the collector's seq rule
+        /// (local counter; upstream stamps push it to `seq + 1`).
+        #[test]
+        fn mixed_entry_streams_land_alike(
+            stream in proptest::collection::vec(
+                (0u8..4, 0u32..20, 0u32..6, 0u32..64, proptest::any::<bool>(), 0u64..400),
+                0..120,
+            ),
+            chunks in proptest::collection::vec(1usize..9, 1..16),
+        ) {
+            let entries: Vec<Entry> = stream
+                .iter()
+                .map(|&(kind, user, epoch, cell, resend, seq)| {
+                    let report = PendingReport {
+                        user: UserId(user),
+                        epoch,
+                        cell: CellId(cell),
+                        resend,
+                    };
+                    match kind {
+                        0 => Entry::Pending(report),
+                        1 | 2 => Entry::Sequenced(SequencedReport {
+                            seq,
+                            report,
+                            released: kind == 2,
+                        }),
+                        _ => Entry::Released(LocationReport {
+                            user: report.user,
+                            epoch,
+                            cell: report.cell,
+                            resend,
+                        }),
+                    }
+                })
+                .collect();
+            let config = IngestConfig {
+                queue_capacity: 4,
+                max_batch: 16,
+                release_lanes: 2,
+                seed: 3,
+                ..Default::default()
+            };
+
+            let by_try = land(config.clone(), |handle| {
+                let (mut sent, mut attempt) = (0, 0);
+                while sent < entries.len() {
+                    let end = (sent + chunks[attempt % chunks.len()]).min(entries.len());
+                    attempt += 1;
+                    match handle.try_submit(&entries[sent..end]).unwrap() {
+                        0 => std::thread::yield_now(),
+                        n => sent += n,
+                    }
+                }
+            });
+            let by_one = land(config.clone(), |handle| {
+                for e in &entries {
+                    handle.submit(std::slice::from_ref(e)).unwrap();
+                }
+            });
+
+            let (model, index) = setup(16);
+            let mut next_seq = 0u64;
+            for &entry in &entries {
+                let (seq, report, released) = match entry {
+                    Entry::Sequenced(s) => {
+                        next_seq = next_seq.max(s.seq + 1);
+                        (s.seq, s.report, s.released)
+                    }
+                    Entry::Pending(r) => {
+                        next_seq += 1;
+                        (next_seq - 1, r, false)
+                    }
+                    Entry::Released(r) => {
+                        let report = PendingReport {
+                            user: r.user,
+                            epoch: r.epoch,
+                            cell: r.cell,
+                            resend: r.resend,
+                        };
+                        next_seq += 1;
+                        (next_seq - 1, report, true)
+                    }
+                };
+                let mut cell = [report.cell];
+                if !released {
+                    GraphExponential
+                        .perturb_batch_into(
+                            &index,
+                            config.eps,
+                            &[report.cell],
+                            &mut chunk_rng(config.seed, seq),
+                            &mut cell,
+                        )
+                        .unwrap();
+                }
+                model.receive(LocationReport {
+                    user: report.user,
+                    epoch: report.epoch,
+                    cell: cell[0],
+                    resend: report.resend,
+                });
+            }
+
+            let want = model.reported_db(6);
+            for server in [&by_try, &by_one] {
+                assert_eq!(server.reported_db(6).trajectories(), want.trajectories());
+                assert_eq!(server.n_resends(), model.n_resends());
+                assert_eq!(server.n_received(), entries.len());
+            }
+        }
+    }
+
+    /// One queue slot holds any message; nesting [`Entry`] must not grow
+    /// the slots of the large queues the benchmarks run with.
+    #[test]
+    fn queue_slot_is_32_bytes() {
+        assert_eq!(std::mem::size_of::<IngestMsg>(), 32);
     }
 
     /// Reports that cannot be released (foreign cell) are rejected and
@@ -1643,7 +1560,7 @@ mod tests {
         let handle = pipeline.handle();
         for i in 0..10u32 {
             handle
-                .submit(PendingReport {
+                .submit(&[PendingReport {
                     user: UserId(i),
                     epoch: 0,
                     // Every third report is out of the 8×8 domain.
@@ -1653,7 +1570,7 @@ mod tests {
                         CellId(i)
                     },
                     resend: false,
-                })
+                }])
                 .unwrap();
         }
         let stats = pipeline.shutdown();

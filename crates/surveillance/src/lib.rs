@@ -43,9 +43,10 @@ pub mod tracing;
 
 pub use client::{Client, ClientConfig, ConsentRule};
 pub use ingest::{
-    IngestConfig, IngestHandle, IngestPipeline, IngestStats, PendingReport, SequencedReport,
+    Closed, Entry, IngestConfig, IngestHandle, IngestPipeline, IngestStats, PendingReport,
+    SequencedReport,
 };
-pub use node::{merge_reported_dbs, IngestNode, ShardNode};
+pub use node::{merge_reported_dbs, ShardNode};
 pub use policy_config::PolicyConfigurator;
 pub use protocol::{LocationReport, PolicyAssignment, ResendRequest};
 pub use server::{shard_of, Server};

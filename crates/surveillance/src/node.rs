@@ -8,10 +8,11 @@
 //! policy index, and a routing tier (`panda_net::router::ShardRouter`)
 //! fans client streams across N of them by [`shard_of`].
 //!
-//! The single-process pipeline is the N=1 degenerate case: both
-//! [`IngestHandle`] and [`ShardNode`] implement [`IngestNode`], so every
-//! consumer of the trait — the router's local backend, tests, benches —
-//! runs unchanged against either topology.
+//! The single-process pipeline is the N=1 degenerate case: a node is a
+//! pipeline over its own release pool, and producers reach either one
+//! through the same [`IngestHandle`] (`ShardNode::handle`), so the
+//! router's local backend, tests and benches run unchanged against
+//! either topology.
 //!
 //! ## Determinism
 //!
@@ -23,81 +24,12 @@
 //! databases ([`merge_reported_dbs`]) reproduces the single-process
 //! pipeline's database byte for byte for the same arrival order.
 
-use crate::ingest::{
-    IngestConfig, IngestHandle, IngestPipeline, IngestStats, SequencedReport, TrySubmitError,
-    TrySwitchError,
-};
-use crate::protocol::LocationReport;
+use crate::ingest::{IngestConfig, IngestHandle, IngestPipeline, IngestStats};
 use crate::server::Server;
 use panda_core::{Mechanism, PolicyIndex, ReleasePool};
 use panda_geo::GridMap;
 use panda_mobility::{Timestamp, TrajectoryDb};
 use std::sync::Arc;
-
-/// The ingest-tier surface a routing tier needs from one shard's slice,
-/// implemented by both the single-process [`IngestHandle`] (the N=1
-/// degenerate case) and a [`ShardNode`].
-///
-/// Everything is non-blocking: a router thread must never park on a
-/// downstream queue, so submission returns an **accepted prefix** and a
-/// full queue is partial progress, not an error.
-pub trait IngestNode: Send + Sync {
-    /// Enqueues the longest prefix of upstream-sequenced reports that
-    /// fits right now and returns its length (see
-    /// [`IngestHandle::try_submit_sequenced`]).
-    ///
-    /// # Errors
-    ///
-    /// [`TrySubmitError::Closed`] when the node has shut down.
-    fn try_submit_sequenced(&self, reports: &[SequencedReport]) -> Result<usize, TrySubmitError>;
-
-    /// Enqueues the longest prefix of already-perturbed reports that fits
-    /// right now and returns its length (see
-    /// [`IngestHandle::try_submit_released`]).
-    ///
-    /// # Errors
-    ///
-    /// [`TrySubmitError::Closed`] when the node has shut down.
-    fn try_submit_released(&self, reports: &[LocationReport]) -> Result<usize, TrySubmitError>;
-
-    /// Switches the policy index for all later reports, failing fast at
-    /// capacity (see [`IngestHandle::try_switch_policy`]).
-    ///
-    /// # Errors
-    ///
-    /// [`TrySwitchError::Full`] at capacity, [`TrySwitchError::Closed`]
-    /// when the node has shut down.
-    fn try_switch_policy(&self, index: Arc<PolicyIndex>) -> Result<(), TrySwitchError>;
-
-    /// Messages currently queued (racy by nature; backpressure/health
-    /// observable for the router and for drain assertions in tests).
-    fn queue_len(&self) -> usize;
-
-    /// The bounded queue's fixed capacity.
-    fn queue_capacity(&self) -> usize;
-}
-
-impl IngestNode for IngestHandle {
-    fn try_submit_sequenced(&self, reports: &[SequencedReport]) -> Result<usize, TrySubmitError> {
-        IngestHandle::try_submit_sequenced(self, reports)
-    }
-
-    fn try_submit_released(&self, reports: &[LocationReport]) -> Result<usize, TrySubmitError> {
-        IngestHandle::try_submit_released(self, reports)
-    }
-
-    fn try_switch_policy(&self, index: Arc<PolicyIndex>) -> Result<(), TrySwitchError> {
-        IngestHandle::try_switch_policy(self, index)
-    }
-
-    fn queue_len(&self) -> usize {
-        IngestHandle::queue_len(self)
-    }
-
-    fn queue_capacity(&self) -> usize {
-        IngestHandle::queue_capacity(self)
-    }
-}
 
 /// One shard's slice of the ingest stack: a [`Server`] holding only this
 /// shard's users, an [`IngestPipeline`] releasing over the node's **own**
@@ -108,10 +40,9 @@ impl IngestNode for IngestHandle {
 /// backend; the loopback cluster tests run both shapes.
 pub struct ShardNode {
     server: Arc<Server>,
-    handle: IngestHandle,
-    pipeline: Option<IngestPipeline>,
+    pipeline: IngestPipeline,
     // Dropped after the pipeline: flushes in flight borrow its workers.
-    _pool: Option<Arc<ReleasePool>>,
+    _pool: Arc<ReleasePool>,
 }
 
 impl ShardNode {
@@ -127,12 +58,10 @@ impl ShardNode {
         let pool = Arc::new(ReleasePool::new(config.release_lanes.max(1)));
         let pipeline =
             IngestPipeline::spawn_on(Arc::clone(&server), index, mech, config, Arc::clone(&pool));
-        let handle = pipeline.handle();
         ShardNode {
             server,
-            handle,
-            pipeline: Some(pipeline),
-            _pool: Some(pool),
+            pipeline,
+            _pool: pool,
         }
     }
 
@@ -143,38 +72,13 @@ impl ShardNode {
 
     /// A producer handle onto the node's queue (clone freely).
     pub fn handle(&self) -> IngestHandle {
-        self.handle.clone()
+        self.pipeline.handle()
     }
 
     /// Shuts the pipeline down (drains everything queued before the call)
     /// and returns its stats.
-    pub fn shutdown(mut self) -> IngestStats {
-        self.pipeline
-            .take()
-            .expect("pipeline shut down once")
-            .shutdown()
-    }
-}
-
-impl IngestNode for ShardNode {
-    fn try_submit_sequenced(&self, reports: &[SequencedReport]) -> Result<usize, TrySubmitError> {
-        self.handle.try_submit_sequenced(reports)
-    }
-
-    fn try_submit_released(&self, reports: &[LocationReport]) -> Result<usize, TrySubmitError> {
-        self.handle.try_submit_released(reports)
-    }
-
-    fn try_switch_policy(&self, index: Arc<PolicyIndex>) -> Result<(), TrySwitchError> {
-        self.handle.try_switch_policy(index)
-    }
-
-    fn queue_len(&self) -> usize {
-        self.handle.queue_len()
-    }
-
-    fn queue_capacity(&self) -> usize {
-        self.handle.queue_capacity()
+    pub fn shutdown(self) -> IngestStats {
+        self.pipeline.shutdown()
     }
 }
 
@@ -202,7 +106,8 @@ pub fn merge_reported_dbs(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ingest::PendingReport;
+    use crate::ingest::{PendingReport, SequencedReport};
+    use crate::protocol::LocationReport;
     use crate::server::shard_of;
     use panda_core::{GraphExponential, LocationPolicyGraph};
     use panda_geo::CellId;
@@ -262,7 +167,7 @@ mod tests {
         );
         let h = pipeline.handle();
         for &r in &reports {
-            h.submit(r).unwrap();
+            h.submit(&[r]).unwrap();
         }
         pipeline.shutdown();
         let want = reference.reported_db(16);
@@ -278,8 +183,9 @@ mod tests {
                     )
                 })
                 .collect();
+            let handles: Vec<IngestHandle> = nodes.iter().map(ShardNode::handle).collect();
             for (seq, &r) in reports.iter().enumerate() {
-                let node = &nodes[shard_of(r.user, n)];
+                let handle = &handles[shard_of(r.user, n)];
                 let entry = SequencedReport {
                     seq: seq as u64,
                     report: r,
@@ -287,7 +193,7 @@ mod tests {
                 };
                 // Full queues retry; `Closed` would be a test bug.
                 loop {
-                    match node.try_submit_sequenced(&[entry]) {
+                    match handle.try_submit(&[entry]) {
                         Ok(1) => break,
                         Ok(_) => std::thread::yield_now(),
                         Err(e) => panic!("node closed mid-test: {e}"),
@@ -327,18 +233,20 @@ mod tests {
         };
         // A pending report for the same (user, epoch) first; the released
         // re-send must overwrite it, queue order deciding.
-        node.try_submit_sequenced(&[SequencedReport {
-            seq: 0,
-            report: PendingReport {
-                user: UserId(3),
-                epoch: 0,
-                cell: CellId(1),
-                resend: false,
-            },
-            released: false,
-        }])
-        .unwrap();
-        assert_eq!(node.try_submit_released(&[released]), Ok(1));
+        let handle = node.handle();
+        handle
+            .try_submit(&[SequencedReport {
+                seq: 0,
+                report: PendingReport {
+                    user: UserId(3),
+                    epoch: 0,
+                    cell: CellId(1),
+                    resend: false,
+                },
+                released: false,
+            }])
+            .unwrap();
+        assert_eq!(handle.try_submit(&[released]), Ok(1));
         node.shutdown();
         assert_eq!(server.reported_cell(UserId(3), 0), Some(CellId(63)));
         assert_eq!(server.n_resends(), 1);

@@ -10,7 +10,9 @@
 //!   locks each touched shard **once**, which is how the parallel release
 //!   engine (`panda_core::release::ParallelReleaser`) feeds output in;
 //! * ingest counters are per-shard atomics (no lock at all), aggregated on
-//!   read;
+//!   read. They are plain state, not telemetry, so they count with
+//!   `--cfg panda_obs_off` too, and each is bumped only after its rows are
+//!   written: a reader that sees a count can read the rows behind it;
 //! * low-volume epidemiological facts (diagnoses, infected visits) stay
 //!   under a single `RwLock` — they arrive out of band, not on the ingest
 //!   hot path.
@@ -41,6 +43,8 @@ use panda_check::ordered::{rank, OrderedRwLock};
 use panda_geo::{CellId, GridMap};
 use panda_mobility::{Timestamp, Trajectory, TrajectoryDb, UserId};
 use panda_obs::{Counter, Registry};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 // Per-user stores are keyed by UserId; every read path (users,
 // reported_db) sorts before exposing an iteration order.
 // panda-check: allow(unordered_iter): read paths sort first
@@ -78,8 +82,12 @@ struct Shard {
     /// Latest report per (user, epoch) — re-sends overwrite.
     // panda-check: allow(unordered_iter): read paths sort (see module doc).
     reports: OrderedRwLock<HashMap<UserId, UserReports>>,
-    n_received: Counter,
-    n_resends: Counter,
+    /// Reports landed here, added with `Release` after their rows are
+    /// written and read with `Acquire`, so a count never runs ahead of
+    /// the rows a reader can see.
+    n_received: Arc<AtomicU64>,
+    /// Re-sends among them, under the same ordering.
+    n_resends: Arc<AtomicU64>,
 }
 
 impl Shard {
@@ -87,8 +95,8 @@ impl Shard {
         Shard {
             // panda-check: allow(unordered_iter): same store as the field.
             reports: OrderedRwLock::new(rank::SERVER_STRIPE, HashMap::new()),
-            n_received: Counter::new(),
-            n_resends: Counter::new(),
+            n_received: Arc::default(),
+            n_resends: Arc::default(),
         }
     }
 }
@@ -176,7 +184,7 @@ impl Server {
     pub fn shard_loads(&self) -> Vec<usize> {
         self.shards
             .iter()
-            .map(|s| s.n_received.get() as usize)
+            .map(|s| s.n_received.load(Ordering::Acquire) as usize)
             .collect()
     }
 
@@ -187,11 +195,11 @@ impl Server {
         for (i, shard) in self.shards.iter().enumerate() {
             registry.register_counter(
                 &format!("panda_server_shard_{i:03}_received_total"),
-                &shard.n_received,
+                &Counter::reading(Arc::clone(&shard.n_received)),
             );
             registry.register_counter(
                 &format!("panda_server_shard_{i:03}_resends_total"),
-                &shard.n_resends,
+                &Counter::reading(Arc::clone(&shard.n_resends)),
             );
         }
     }
@@ -200,15 +208,15 @@ impl Server {
     /// exactly one shard.
     pub fn receive(&self, report: LocationReport) {
         let shard = &self.shards[self.shard_of(report.user)];
-        shard.n_received.inc();
-        if report.resend {
-            shard.n_resends.inc();
-        }
         upsert(
             shard.reports.write().entry(report.user).or_default(),
             report.epoch,
             report.cell,
         );
+        shard.n_received.fetch_add(1, Ordering::Release);
+        if report.resend {
+            shard.n_resends.fetch_add(1, Ordering::Release);
+        }
     }
 
     /// Ingests a batch: groups reports by shard, then locks each touched
@@ -225,14 +233,15 @@ impl Server {
             if group.is_empty() {
                 continue;
             }
-            shard.n_received.add(group.len() as u64);
-            let resends = group.iter().filter(|r| r.resend).count();
-            if resends > 0 {
-                shard.n_resends.add(resends as u64);
-            }
+            let (n, resends) = (group.len(), group.iter().filter(|r| r.resend).count());
             let mut store = shard.reports.write();
             for r in group {
                 upsert(store.entry(r.user).or_default(), r.epoch, r.cell);
+            }
+            drop(store);
+            shard.n_received.fetch_add(n as u64, Ordering::Release);
+            if resends > 0 {
+                shard.n_resends.fetch_add(resends as u64, Ordering::Release);
             }
         }
     }
@@ -247,13 +256,16 @@ impl Server {
     pub fn n_received(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.n_received.get() as usize)
+            .map(|s| s.n_received.load(Ordering::Acquire) as usize)
             .sum()
     }
 
     /// Number of re-sent reports received, aggregated across shards.
     pub fn n_resends(&self) -> usize {
-        self.shards.iter().map(|s| s.n_resends.get() as usize).sum()
+        self.shards
+            .iter()
+            .map(|s| s.n_resends.load(Ordering::Acquire) as usize)
+            .sum()
     }
 
     /// Users that have reported at least once, sorted.

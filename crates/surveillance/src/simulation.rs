@@ -22,6 +22,7 @@ use panda_core::{GraphExponential, Mechanism, ParallelReleaser, PolicyIndex};
 use panda_epidemic::{simulate_outbreak, OutbreakConfig, OutbreakResult};
 use panda_geo::CellId;
 use panda_mobility::{Timestamp, TrajectoryDb, UserId};
+use panda_obs::Registry;
 use rand::{Rng, RngCore};
 use rand_distr::{Distribution, Poisson};
 use std::collections::BTreeMap;
@@ -251,8 +252,11 @@ impl Default for StreamingConfig {
 pub struct StreamingLog {
     /// The server after the stream drained (perturbed reports only).
     pub server: Arc<Server>,
-    /// Pipeline counters: landed/rejected reports, flush causes, latency.
+    /// Pipeline counters: landed/rejected reports, flush causes.
     pub stats: IngestStats,
+    /// The pipeline's metric registry (flush latency and sizes, queue
+    /// depth, cache and pool instruments), read after the drain.
+    pub metrics: Arc<Registry>,
     /// Reports submitted into the pipeline.
     pub submitted: usize,
 }
@@ -293,31 +297,35 @@ pub fn run_streaming_simulation(
     for t in 0..truth.horizon() {
         if config.switch_every > 0 && t > 0 && t % config.switch_every == 0 {
             on_analysis = !on_analysis;
-            pipeline.switch_policy(if on_analysis {
-                Arc::clone(&analysis)
-            } else {
-                Arc::clone(&monitoring)
-            });
+            handle
+                .switch_policy(if on_analysis {
+                    Arc::clone(&analysis)
+                } else {
+                    Arc::clone(&monitoring)
+                })
+                .expect("pipeline alive for the whole run");
         }
         for tr in truth.trajectories() {
             let k = arrivals.sample(rng) as usize;
             for _ in 0..k {
                 handle
-                    .submit(PendingReport {
+                    .submit(&[PendingReport {
                         user: tr.user,
                         epoch: t,
                         cell: tr.cells[t as usize],
                         resend: false,
-                    })
+                    }])
                     .expect("pipeline alive for the whole run");
                 submitted += 1;
             }
         }
     }
+    let metrics = pipeline.metrics();
     let stats = pipeline.shutdown();
     StreamingLog {
         server,
         stats,
+        metrics,
         submitted,
     }
 }

@@ -63,7 +63,7 @@ fn run(index: Arc<PolicyIndex>, reports: &[PendingReport]) -> Arc<Server> {
     );
     let handle = pipeline.handle();
     for &r in reports {
-        handle.submit(r).unwrap();
+        handle.submit(&[r]).unwrap();
     }
     let stats = pipeline.shutdown();
     assert_eq!(stats.landed, reports.len());

@@ -1,14 +1,11 @@
 //! The parallel release engine: threads × batch size × mechanism, plus the
 //! alias-table vs binary-search sampling ablation.
 //!
-//! The PR-2/PR-3 claims measured here:
+//! The claims measured here:
 //!
 //! * `ParallelReleaser` at T threads beats the single-threaded PR-1
 //!   `perturb_batch` path on large batches (≥ 3× at 8 threads on a
 //!   256k-report batch, on hardware with ≥ 8 cores);
-//! * small batches (≤ one chunk) release faster through the persistent
-//!   pool — which runs them inline — than through the PR-2 scoped path,
-//!   which pays a fresh thread spawn per call;
 //! * alias-table draws (O(1)) beat cumulative-table binary search
 //!   (O(log k)) on supports of ≥ 1024 cells;
 //! * the sharded server ingests a grouped batch faster than per-report
@@ -78,37 +75,6 @@ fn bench_parallel_vs_single(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_small_batch_dispatch(c: &mut Criterion) {
-    // The streaming micro-batch regime: batches at/below one chunk, where
-    // the engine's per-call dispatch cost dominates the perturbation work.
-    let grid = GridMap::new(32, 32, 500.0);
-    let index = PolicyIndex::new(LocationPolicyGraph::partition(grid.clone(), 2, 2));
-    let releaser = ParallelReleaser::new();
-    let mut group = c.benchmark_group("small_batch_dispatch");
-    for n in [512usize, 4096] {
-        let locs = batch(&grid, n, 7);
-        group.bench_with_input(BenchmarkId::new("scoped_spawn", n), &locs, |b, locs| {
-            b.iter(|| {
-                black_box(
-                    releaser
-                        .release_scoped(&GraphExponential, &index, 1.0, locs, 11)
-                        .unwrap(),
-                )
-            });
-        });
-        group.bench_with_input(BenchmarkId::new("pooled_inline", n), &locs, |b, locs| {
-            b.iter(|| {
-                black_box(
-                    releaser
-                        .release(&GraphExponential, &index, 1.0, locs, 11)
-                        .unwrap(),
-                )
-            });
-        });
-    }
-    group.finish();
-}
-
 fn bench_alias_vs_binary_search(c: &mut Criterion) {
     // Pure sampling ablation on identical weights: O(1) alias draws vs
     // O(log k) inverse-CDF binary search, across support sizes.
@@ -172,7 +138,6 @@ fn bench_server_ingest(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_parallel_vs_single,
-    bench_small_batch_dispatch,
     bench_alias_vs_binary_search,
     bench_server_ingest
 );

@@ -29,20 +29,18 @@
 //!   overhead, appended as a `cluster` section.
 //! * `--telemetry` — also measure the cost of the live metrics plane: a
 //!   saturating in-process ingest run with histogram-derived flush
-//!   p50/p99, appended as a `telemetry` section (schema v7) stamped with
+//!   p50/p99, appended as a `telemetry` section (schema v8) stamped with
 //!   whether this binary was compiled with telemetry on (default) or off
 //!   (`RUSTFLAGS="--cfg panda_obs_off"`). Run both builds and compare
 //!   `reports_per_sec` for the instrumentation overhead (budget < 2%).
 //!
 //! Measures, per (mechanism × batch size × thread count): reports/sec and
 //! p50/p99 per-batch latency of [`ParallelReleaser`] against the
-//! single-threaded PR-1 `perturb_batch` baseline; the small-batch
-//! dispatch cost of the persistent pool against the PR-2 scoped-spawn
-//! path; the per-report-lock vs sampler-handle streaming ablation
-//! (`sampler` section) with the shared-cache touch counts;
-//! plus the alias-table vs binary-search ns/draw ablation per support
-//! size. JSON is assembled by hand (no JSON dependency in the offline
-//! workspace).
+//! single-threaded PR-1 `perturb_batch` baseline; the per-report-lock vs
+//! sampler-handle streaming ablation (`sampler` section) with the
+//! shared-cache touch counts; plus the alias-table vs binary-search
+//! ns/draw ablation per support size. JSON is assembled by hand (no JSON
+//! dependency in the offline workspace).
 
 use panda_bench::percentile;
 use panda_bench::workload::{geolife, grid};
@@ -74,13 +72,6 @@ struct SamplingRow {
     support: usize,
     alias_ns: f64,
     binary_search_ns: f64,
-}
-
-struct SmallBatchRow {
-    batch: usize,
-    scoped_p50_ms: f64,
-    pooled_p50_ms: f64,
-    speedup: f64,
 }
 
 struct SamplerRow {
@@ -230,48 +221,6 @@ fn bench_release(quick: bool) -> Vec<ReleaseRow> {
     rows
 }
 
-/// The small-batch dispatch ablation: for batches at/below one chunk the
-/// pooled path runs inline on the caller thread, while the PR-2 reference
-/// pays a fresh thread spawn per call — the cost streaming micro-batches
-/// used to eat on every flush.
-fn bench_small_batch(quick: bool) -> Vec<SmallBatchRow> {
-    let g = grid(32);
-    let index = PolicyIndex::new(LocationPolicyGraph::partition(g.clone(), 2, 2));
-    let batches: &[usize] = if quick { &[1024] } else { &[512, 1024, 4096] };
-    let iters = if quick { 100 } else { 400 };
-    let releaser = ParallelReleaser::new();
-    batches
-        .iter()
-        .map(|&n| {
-            let mut rng = StdRng::seed_from_u64(7);
-            let locs: Vec<CellId> = (0..n)
-                .map(|_| CellId(rng.gen_range(0..g.n_cells())))
-                .collect();
-            let scoped = time_batches(iters, || {
-                black_box(
-                    releaser
-                        .release_scoped(&GraphExponential, &index, 1.0, &locs, 11)
-                        .unwrap(),
-                );
-            });
-            let pooled = time_batches(iters, || {
-                black_box(
-                    releaser
-                        .release(&GraphExponential, &index, 1.0, &locs, 11)
-                        .unwrap(),
-                );
-            });
-            let (scoped_p50, pooled_p50) = (percentile(&scoped, 0.5), percentile(&pooled, 0.5));
-            SmallBatchRow {
-                batch: n,
-                scoped_p50_ms: scoped_p50,
-                pooled_p50_ms: pooled_p50,
-                speedup: scoped_p50 / pooled_p50,
-            }
-        })
-        .collect()
-}
-
 /// Open-loop streaming ingest: Poisson arrivals across a GeoLife-like
 /// population, submitted as fast as they are generated, drained through
 /// the bounded-queue pipeline onto the sharded server.
@@ -286,7 +235,7 @@ fn bench_streaming(quick: bool) -> Vec<StreamingRow> {
         &[
             // Latency-leaning: small batches, tight deadline.
             ("micro-batch", 256, 1),
-            // Throughput-leaning: chunk-sized batches, lazy deadline.
+            // Throughput-leaning: 4096-report batches, lazy deadline.
             ("bulk-batch", 4096, 10),
         ]
     };
@@ -313,7 +262,7 @@ fn bench_streaming(quick: bool) -> Vec<StreamingRow> {
                 label,
                 max_batch,
                 max_delay_ms: delay_ms as f64,
-                lanes: cfg.ingest.release_lanes,
+                lanes: cfg.ingest.release_threads,
                 reports: log.stats.landed,
                 reports_per_sec: log.stats.landed as f64 / elapsed,
                 flush_p50_ms,
@@ -873,15 +822,6 @@ fn main() {
         );
     }
 
-    let small_batch = bench_small_batch(quick);
-    println!("\nsmall batch  scoped p50 ms  pooled p50 ms  pooled speedup");
-    for s in &small_batch {
-        println!(
-            "{:<11}  {:<13.4}  {:<13.4}  {:.2}x",
-            s.batch, s.scoped_p50_ms, s.pooled_p50_ms, s.speedup
-        );
-    }
-
     let streaming = if streaming_mode {
         let rows = bench_streaming(quick);
         println!(
@@ -1029,7 +969,7 @@ fn main() {
 
     // Hand-assembled JSON (the offline workspace carries no JSON crate).
     let mut json = String::from("{\n");
-    json.push_str("  \"schema\": \"panda-bench-release/v7\",\n");
+    json.push_str("  \"schema\": \"panda-bench-release/v8\",\n");
     json.push_str(&format!(
         "  \"telemetry_compiled\": \"{}\",\n",
         if cfg!(panda_obs_off) { "off" } else { "on" }
@@ -1053,18 +993,6 @@ fn main() {
             r.p99_ms,
             r.speedup_vs_single,
             if i + 1 < release.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n  \"small_batch\": [\n");
-    for (i, s) in small_batch.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"batch\": {}, \"scoped_p50_ms\": {:.4}, \"pooled_p50_ms\": {:.4}, \
-             \"pooled_speedup\": {:.3}}}{}\n",
-            s.batch,
-            s.scoped_p50_ms,
-            s.pooled_p50_ms,
-            s.speedup,
-            if i + 1 < small_batch.len() { "," } else { "" }
         ));
     }
     json.push_str("  ],\n");

@@ -27,7 +27,8 @@
 //! feed it to [`Mechanism::perturb_batch`](crate::mech::Mechanism::perturb_batch);
 //! experiment harnesses build one per swept policy. All caches are
 //! thread-safe, so one index can serve concurrent report streams — this is
-//! what [`crate::release::ParallelReleaser`] relies on.
+//! what the concurrent lanes of [`crate::release::ParallelReleaser`] rely
+//! on.
 
 use crate::cache::{CacheStats, SharedLru};
 use crate::mech::pim::PreparedHull;

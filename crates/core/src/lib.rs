@@ -24,10 +24,12 @@
 //!   state) and per-`(mechanism, ε, cell)` sampling tables (alias-compiled
 //!   for large supports) over the policy's lazily-built distance tables,
 //!   consumed by [`Mechanism::perturb_batch`].
-//! * [`release`] — the [`release::ParallelReleaser`]: deterministic
-//!   multi-threaded bulk release over one shared [`PolicyIndex`], running on
-//!   the persistent [`release::pool::ReleasePool`] (workers parked between
-//!   bursts; single-lane batches run inline on the caller).
+//! * [`release`] — the one per-report release kernel (each report drawn
+//!   from its own `(seed, seq)` stream) behind both bulk release and the
+//!   ingest pipeline, fanned by [`release::ParallelReleaser`] over one
+//!   shared [`PolicyIndex`] in contiguous lanes on the persistent
+//!   [`release::pool::ReleasePool`] (workers parked between bursts; a
+//!   single lane runs inline on the caller).
 //! * [`budget`] — policy-aware privacy-budget allocation and sequential
 //!   composition across release epochs.
 //! * [`repair`] — policy feasibility under external constraints and minimal

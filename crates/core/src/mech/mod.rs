@@ -113,9 +113,9 @@ pub trait Mechanism {
     }
 
     /// Like [`Mechanism::perturb_batch`], but writes the released cells into
-    /// a caller-provided slice — the hot path of the release engine, which
-    /// perturbs each chunk straight into its slot of the output batch with
-    /// no intermediate allocation.
+    /// a caller-provided slice with no intermediate allocation. The release
+    /// kernel calls it on single-report batches for mechanisms that skip
+    /// the sampler memo.
     ///
     /// Consumes exactly the same RNG sequence as [`Mechanism::perturb_batch`]
     /// (which is implemented on top of this method), so for a fixed `rng`
@@ -190,9 +190,9 @@ pub trait Mechanism {
     /// builds state. Mechanisms whose resolution is trivially cheap *and*
     /// whose [`Mechanism::perturb_batch_into`] override is tighter than a
     /// per-report map lookup (identity's memcpy, uniform's bare
-    /// `gen_range` loop) return `false`; lanes then hand whole chunks to
-    /// the batch override directly. Purely a cost hint: both routes
-    /// consume identical RNG sequences.
+    /// `gen_range` loop) return `false`; lanes then release each report
+    /// through the batch override directly. Purely a cost hint: both
+    /// routes consume identical RNG sequences.
     fn prefers_sampler_memo(&self) -> bool {
         true
     }

@@ -19,8 +19,8 @@
 //! [`Mechanism::perturb_batch_into`] on a single-report batch (which itself
 //! matches the pre-handle streaming path). Resolution consumes no
 //! randomness. A fixed `(seed, arrival order)` therefore lands the same
-//! database whether reports are released per report, per chunk, or through
-//! per-lane memoised handles — CI enforces this byte-for-byte.
+//! database whether reports are released one by one or through per-lane
+//! memoised handles — CI enforces this byte-for-byte.
 
 use crate::error::PglpError;
 use crate::index::{DistanceRings, PolicyIndex, SamplingTable};
@@ -341,10 +341,11 @@ pub fn snap_to_cells(grid: &GridMap, cells: &[CellId], y: Point) -> CellId {
 
 /// A lane-local memo of resolved [`CellSampler`]s, keyed by true cell.
 ///
-/// The release engine's unit of contention control: each lane (a release
-/// chunk sequence, an ingest flush slice, a caller batch) owns one memo, so
-/// the shared [`PolicyIndex`] caches are touched **at most once per distinct
-/// cell per lane** no matter how many reports the lane releases.
+/// The release engine's unit of contention control: each lane of the
+/// release kernel (a contiguous slice of a bulk batch or of an ingest
+/// flush) and each caller batch owns one memo, so the shared
+/// [`PolicyIndex`] caches are touched **at most once per distinct cell per
+/// lane** no matter how many reports the lane releases.
 ///
 /// Mechanisms without sampler support (no override and no closed-form
 /// distribution) are detected on the first resolution and remembered:

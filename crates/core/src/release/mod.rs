@@ -1,38 +1,31 @@
-//! [`ParallelReleaser`]: deterministic multi-threaded bulk release.
+//! [`ParallelReleaser`]: the one release kernel and its deterministic
+//! multi-threaded fan-out.
 //!
-//! The PR-1 batch path ([`Mechanism::perturb_batch`]) amortises policy-graph
-//! work through the [`PolicyIndex`] but still runs on one thread. This
-//! module partitions a report batch into **fixed-size chunks** and fans the
-//! chunks out over the persistent [`pool::ReleasePool`], with each chunk's
-//! RNG stream split deterministically from one seed:
+//! Every perturbed report in the workspace comes out of one per-report
+//! kernel, whether it belongs to a bulk release (the simulation driver,
+//! the experiment binaries, `release_db_parallel`) or to an ingest flush:
 //!
-//! * the chunk grid depends only on the batch length and
-//!   [`ParallelReleaser::chunk_size`] — *never* on the thread count, the
-//!   pool size, or which worker runs which chunk — so a fixed seed yields
-//!   **bit-identical output on 1 thread or 64**;
-//! * every chunk seeds its own `StdRng` via a SplitMix64-style mix of
-//!   `(seed, chunk index)`, so streams are unrelated across chunks and
-//!   reproducible in isolation;
-//! * all threads share one [`PolicyIndex`] — its distribution, calibration
-//!   and hull caches are concurrent, so the first thread to touch a
-//!   `(mechanism, ε, cell)` key builds the table and the rest sample from
-//!   it;
-//! * chunks are perturbed **in place** into their slot of the output batch
-//!   ([`Mechanism::perturb_batch_into`]) — no per-chunk allocation or copy;
-//! * work that fits a single lane (one thread requested, or the batch fits
-//!   one chunk) runs **inline on the caller thread** — the small-batch
-//!   streaming hot path pays neither a spawn nor a queue hand-off.
-//!
-//! [`ParallelReleaser::release_scoped`] keeps the PR-2 fresh-scope-per-call
-//! implementation as the executable reference for the determinism contract:
-//! the pooled path must stay byte-identical to it (CI-enforced) and the
-//! spawn cost it pays per call is the small-batch baseline
-//! `BENCH_release.json` tracks.
+//! * a report is a `(seq, cell)` pair, and its released cell is drawn from
+//!   its own RNG stream [`chunk_rng`]`(seed, seq)` — a pure function of
+//!   the report, never of the batch it rides in, the lane count, the pool
+//!   size or which worker runs it, so a fixed seed is **bit-identical on 1
+//!   thread or 64**;
+//! * a bulk release ([`ParallelReleaser::release`]) stamps positions
+//!   `0..n`, the ingest pipeline stamps arrival sequence numbers — so a
+//!   bulk release of `n` reports lands exactly what an ingest pipeline with
+//!   the same seed lands when fed the same `n` reports in order;
+//! * each lane owns one [`SamplerMemo`]: the shared [`PolicyIndex`] caches
+//!   are touched at most once per distinct cell per lane, and every report
+//!   then draws lock-free. Resolution consumes no randomness, so the output
+//!   equals releasing each report alone through
+//!   [`Mechanism::perturb_batch_into`];
+//! * a batch is cut into contiguous lanes fanned over the persistent
+//!   [`pool::ReleasePool`]; one lane runs **inline on the caller thread**
+//!   with no hand-off.
 //!
 //! The surveillance server consumes the output via
 //! `Server::receive_batch`, which groups reports by shard before taking any
-//! lock — together with the streaming ingest pipeline they form the release
-//! engine the experiment binaries and the simulation driver run on.
+//! lock.
 
 pub mod pool;
 
@@ -45,21 +38,17 @@ use pool::ReleasePool;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Default chunk size: big enough to amortise thread hand-off, small enough
-/// to load-balance a 256k-report batch over many threads.
-pub const DEFAULT_CHUNK_SIZE: usize = 4096;
+/// The first report of a batch that could not be released: its position
+/// in the batch and why.
+pub type Rejection = (usize, PglpError);
 
-/// One chunk of work: (chunk index, input cells, output slot).
-type Chunk<'a> = (usize, &'a [CellId], &'a mut [CellId]);
-
-/// A deterministic parallel bulk-release driver. Cheap to construct; holds
-/// no per-policy state (that lives in the [`PolicyIndex`]) and no threads
-/// (releases run on the shared [`ReleasePool`], or inline when a single
-/// lane suffices).
+/// A deterministic parallel release driver. Cheap to construct; holds no
+/// per-policy state (that lives in the [`PolicyIndex`]) and no threads
+/// (releases run on a [`ReleasePool`], or inline when a single lane
+/// suffices).
 #[derive(Debug, Clone)]
 pub struct ParallelReleaser {
     n_threads: usize,
-    chunk_size: usize,
 }
 
 impl Default for ParallelReleaser {
@@ -80,16 +69,7 @@ impl ParallelReleaser {
     pub fn with_threads(n_threads: usize) -> Self {
         ParallelReleaser {
             n_threads: n_threads.max(1),
-            chunk_size: DEFAULT_CHUNK_SIZE,
         }
-    }
-
-    /// Overrides the chunk size (≥ 1). Unlike the thread count, the chunk
-    /// grid is part of the deterministic stream: changing it changes which
-    /// RNG stream covers which report, and therefore the output.
-    pub fn with_chunk_size(mut self, chunk_size: usize) -> Self {
-        self.chunk_size = chunk_size.max(1);
-        self
     }
 
     /// Maximum concurrent lanes per release call.
@@ -97,26 +77,17 @@ impl ParallelReleaser {
         self.n_threads
     }
 
-    /// Reports per deterministic RNG chunk.
-    pub fn chunk_size(&self) -> usize {
-        self.chunk_size
-    }
-
     /// Releases `locs` through `mech` under the indexed policy on the
-    /// shared [`ReleasePool::global`], using up to
-    /// [`ParallelReleaser::n_threads`] lanes. Outputs are positionally
-    /// aligned with `locs` and **bit-identical for a fixed `(seed,
-    /// chunk_size)` regardless of the lane count, pool size, or
-    /// scheduling** — and identical to [`ParallelReleaser::release_scoped`].
-    ///
-    /// Single-lane work (one thread requested, or `locs` fits one chunk)
-    /// runs inline on the caller thread with no hand-off at all.
+    /// shared [`ReleasePool::global`]. Report `i` is drawn from
+    /// [`chunk_rng`]`(seed, i)`, so the output is positionally aligned with
+    /// `locs` and **bit-identical for a fixed seed regardless of the lane
+    /// count, pool size, or scheduling**.
     ///
     /// # Errors
     ///
     /// Same failure modes as [`Mechanism::perturb_batch`]. When several
-    /// chunks fail, the error of the earliest failing chunk is returned
-    /// (deterministic).
+    /// reports fail, the error of the earliest failing position is
+    /// returned (deterministic).
     pub fn release(
         &self,
         mech: &(dyn Mechanism + Sync),
@@ -131,6 +102,10 @@ impl ParallelReleaser {
     /// [`ParallelReleaser::release`] on an explicit pool (a dedicated
     /// ingest pool, a test pool of a fixed size). Output does not depend on
     /// which pool runs the work.
+    ///
+    /// # Errors
+    ///
+    /// Same failure modes as [`ParallelReleaser::release`].
     pub fn release_on(
         &self,
         pool: &ReleasePool,
@@ -140,162 +115,119 @@ impl ParallelReleaser {
         locs: &[CellId],
         seed: u64,
     ) -> Result<Vec<CellId>, PglpError> {
-        let mut out = vec![CellId(0); locs.len()];
-        if locs.is_empty() {
-            return Ok(out);
-        }
-        let mut lanes = self.lanes(locs, &mut out);
-        let failures: Vec<(usize, PglpError)> = if lanes.len() == 1 {
-            // Small-batch fast path: one lane has zero exploitable
-            // parallelism — run it on the caller thread, skipping the queue
-            // hand-off entirely. Byte-identical: same chunk grid, same
-            // per-chunk streams.
-            run_lane(mech, index, eps, seed, lanes.pop().expect("one lane"))
-        } else {
-            let failures: OrderedMutex<Vec<(usize, PglpError)>> =
-                OrderedMutex::new(rank::RELEASE_FAILURES, Vec::new());
-            let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = lanes
-                .into_iter()
-                .map(|lane| {
-                    let failures = &failures;
-                    Box::new(move || {
-                        let errs = run_lane(mech, index, eps, seed, lane);
-                        if !errs.is_empty() {
-                            failures.lock().extend(errs);
-                        }
-                    }) as Box<dyn FnOnce() + Send + '_>
-                })
-                .collect();
-            pool.run_scoped(jobs);
-            failures.into_inner()
-        };
-        match failures.into_iter().min_by_key(|&(i, _)| i) {
-            Some((_, e)) => Err(e),
-            None => Ok(out),
+        let stamped: Vec<(u64, CellId)> = (0u64..).zip(locs.iter().copied()).collect();
+        match self.release_stamped(pool, mech, index, eps, seed, &stamped) {
+            (_, Some((_, e))) => Err(e),
+            // No rejection: every slot is filled.
+            (out, None) => Ok(out.into_iter().flatten().collect()),
         }
     }
 
-    /// The PR-2 implementation — a fresh crossbeam scope per call — kept as
-    /// the executable reference for the determinism contract (the pooled
-    /// [`ParallelReleaser::release`] must match it byte for byte; see the
-    /// `pooled_release_matches_scoped_reference` test) and as the
-    /// spawn-cost baseline the small-batch benchmarks compare against.
+    /// Releases `(seq, cell)` reports on `pool`, each drawn from
+    /// [`chunk_rng`]`(seed, seq)`. Slot `i` of the returned vector is the
+    /// released cell of `reports[i]`, or `None` when that report cannot be
+    /// released (bad ε, foreign cell); the [`Rejection`] is the earliest
+    /// such position.
     ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`ParallelReleaser::release`].
-    pub fn release_scoped(
+    /// The batch is cut into up to [`ParallelReleaser::n_threads`]
+    /// contiguous lanes; a single lane runs inline on the caller thread.
+    pub fn release_stamped(
         &self,
+        pool: &ReleasePool,
         mech: &(dyn Mechanism + Sync),
         index: &PolicyIndex,
         eps: f64,
-        locs: &[CellId],
         seed: u64,
-    ) -> Result<Vec<CellId>, PglpError> {
-        let mut out = vec![CellId(0); locs.len()];
-        if locs.is_empty() {
-            return Ok(out);
+        reports: &[(u64, CellId)],
+    ) -> (Vec<Option<CellId>>, Option<Rejection>) {
+        let mut out = vec![None; reports.len()];
+        let n_lanes = self.n_threads.min(reports.len());
+        if n_lanes <= 1 {
+            let rejection = release_into(mech, index, eps, seed, reports, &mut out);
+            return (out, rejection);
         }
-        let lanes = self.lanes(locs, &mut out);
-        let failures: Vec<(usize, PglpError)> = crossbeam::scope(|scope| {
-            let handles: Vec<_> = lanes
-                .into_iter()
-                .map(|lane| scope.spawn(move |_| run_lane(mech, index, eps, seed, lane)))
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("release worker panicked"))
-                .collect()
-        })
-        .expect("release scope panicked");
-        match failures.into_iter().min_by_key(|&(i, _)| i) {
-            Some((_, e)) => Err(e),
-            None => Ok(out),
-        }
-    }
-
-    /// Deals the chunk grid round-robin onto `min(n_threads, n_chunks)`
-    /// lanes. The assignment affects only which lane runs which chunk; the
-    /// per-chunk RNG stream is a pure function of `(seed, chunk index)`.
-    fn lanes<'a>(&self, locs: &'a [CellId], out: &'a mut [CellId]) -> Vec<Vec<Chunk<'a>>> {
-        let n_chunks = locs.len().div_ceil(self.chunk_size);
-        let n_lanes = self.n_threads.min(n_chunks);
-        let mut lanes: Vec<Vec<Chunk<'a>>> = (0..n_lanes).map(|_| Vec::new()).collect();
-        for (i, (input, output)) in locs
-            .chunks(self.chunk_size)
-            .zip(out.chunks_mut(self.chunk_size))
+        let lane_len = reports.len().div_ceil(n_lanes);
+        let rejections: OrderedMutex<Vec<Rejection>> =
+            OrderedMutex::new(rank::RELEASE_FAILURES, Vec::new());
+        let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = reports
+            .chunks(lane_len)
+            .zip(out.chunks_mut(lane_len))
             .enumerate()
-        {
-            lanes[i % n_lanes].push((i, input, output));
-        }
-        lanes
+            .map(|(lane, (reports, out))| {
+                let rejections = &rejections;
+                Box::new(move || {
+                    if let Some((i, e)) = release_into(mech, index, eps, seed, reports, out) {
+                        rejections.lock().push((lane * lane_len + i, e));
+                    }
+                }) as Box<dyn FnOnce() + Send + '_>
+            })
+            .collect();
+        pool.run_scoped(jobs);
+        let rejection = rejections.into_inner().into_iter().min_by_key(|&(i, _)| i);
+        (out, rejection)
     }
 }
 
-/// Perturbs every chunk of one lane in place, collecting `(chunk index,
-/// error)` pairs. Shared by the pooled, scoped and inline paths — one
-/// sampling sequence, three schedulers.
+/// The release kernel: one lane of `(seq, cell)` reports, each drawn from
+/// its own stream `chunk_rng(seed, seq)` into the matching slot of `out`.
+/// An unreleasable report is marked rejected (`None`); the first rejection
+/// in the lane is returned.
 ///
-/// The lane owns one [`SamplerMemo`]: each distinct cell resolves its
-/// [`crate::mech::CellSampler`] once **for the whole lane** (one shared
-/// distribution-cache touch), and every chunk then draws lock-free from its
-/// own RNG stream. Because resolution consumes no randomness, the output is
-/// byte-identical to calling `perturb_batch_into` per chunk.
-fn run_lane(
+/// The lane owns one [`SamplerMemo`], so the shared [`PolicyIndex`]
+/// distribution cache is touched at most once per distinct cell, and every
+/// report then draws lock-free from its own stream.
+fn release_into(
     mech: &(dyn Mechanism + Sync),
     index: &PolicyIndex,
     eps: f64,
     seed: u64,
-    lane: Vec<Chunk<'_>>,
-) -> Vec<(usize, PglpError)> {
-    let mut errs = Vec::new();
+    reports: &[(u64, CellId)],
+    out: &mut [Option<CellId>],
+) -> Option<Rejection> {
+    let mut rejection = None;
     let mut memo = SamplerMemo::new();
     let use_memo = mech.prefers_sampler_memo();
-    for (i, input, output) in lane {
-        let mut rng = chunk_rng(seed, i as u64);
-        let result = if !use_memo || memo.unsupported() {
-            // No sampler support, or resolution is declared trivially
-            // cheap: the per-chunk batch path (identical draw streams).
-            mech.perturb_batch_into(index, eps, input, &mut rng, output)
+    for (i, (&(seq, cell), slot)) in reports.iter().zip(out.iter_mut()).enumerate() {
+        let mut rng = chunk_rng(seed, seq);
+        let released = if use_memo {
+            match memo.resolve(mech, index, eps, cell) {
+                Ok(Some(sampler)) => Ok(sampler.draw(&mut rng)),
+                // No sampler support: the mechanism's own single-report
+                // path, same RNG stream.
+                Ok(None) => release_one(mech, index, eps, cell, &mut rng),
+                Err(e) => Err(e),
+            }
         } else {
-            run_chunk(mech, index, eps, &mut memo, input, &mut rng, output)
+            // Resolution is declared trivially cheap: skip the memo lookup
+            // (identical draw streams).
+            release_one(mech, index, eps, cell, &mut rng)
         };
-        if let Err(e) = result {
-            errs.push((i, e));
+        match released {
+            Ok(z) => *slot = Some(z),
+            Err(e) => {
+                *slot = None;
+                rejection.get_or_insert((i, e));
+            }
         }
     }
-    errs
+    rejection
 }
 
-/// One chunk through the lane memo. On error the chunk aborts at the
-/// failing location (later slots unspecified), matching
-/// [`Mechanism::perturb_batch_into`].
-fn run_chunk<'a>(
-    mech: &'a (dyn Mechanism + Sync),
-    index: &'a PolicyIndex,
+/// One report through [`Mechanism::perturb_batch_into`].
+fn release_one(
+    mech: &(dyn Mechanism + Sync),
+    index: &PolicyIndex,
     eps: f64,
-    memo: &mut SamplerMemo<'a>,
-    input: &[CellId],
+    cell: CellId,
     rng: &mut StdRng,
-    output: &mut [CellId],
-) -> Result<(), PglpError> {
-    for pos in 0..input.len() {
-        let s = input[pos];
-        match memo.resolve(mech, index, eps, s)? {
-            Some(sampler) => output[pos] = sampler.draw(rng),
-            // Unsupported discovered before any randomness was consumed:
-            // hand the whole chunk to the mechanism's own batch path.
-            None if pos == 0 => return mech.perturb_batch_into(index, eps, input, rng, output),
-            // Cell-dependent support (no in-tree mechanism does this):
-            // finish the chunk per report.
-            None => output[pos] = mech.perturb(index.policy(), eps, s, rng)?,
-        }
-    }
-    Ok(())
+) -> Result<CellId, PglpError> {
+    let mut released = [CellId(0)];
+    mech.perturb_batch_into(index, eps, &[cell], rng, &mut released)?;
+    Ok(released[0])
 }
 
 /// The SplitMix64 finaliser: a bijective avalanche mix, shared by the
-/// chunk-stream derivation here and the server's shard routing so the two
+/// report-stream derivation here and the server's shard routing so the two
 /// never drift apart.
 #[inline]
 pub fn splitmix64(mut z: u64) -> u64 {
@@ -304,11 +236,13 @@ pub fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The RNG stream of chunk `chunk` under `seed`: a SplitMix64-style
-/// finaliser over the pair, so nearby chunk indices (and nearby seeds) get
-/// unrelated streams.
-pub fn chunk_rng(seed: u64, chunk: u64) -> StdRng {
-    StdRng::seed_from_u64(splitmix64(seed ^ chunk.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
+/// The RNG stream of report `seq` under `seed` (its bulk position or its
+/// ingest arrival sequence number): a SplitMix64-style finaliser over the
+/// pair, so nearby sequence numbers (and nearby seeds) get unrelated
+/// streams. The name predates per-report keying; the benchmark package
+/// (`perfbench/`) calls it by this name.
+pub fn chunk_rng(seed: u64, seq: u64) -> StdRng {
+    StdRng::seed_from_u64(splitmix64(seed ^ seq.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
 }
 
 #[cfg(test)]
@@ -329,6 +263,30 @@ mod tests {
         (PolicyIndex::new(policy), locs)
     }
 
+    /// The determinism contract spelled out: report `i` of a bulk release
+    /// is released alone, through the mechanism's own batch path, from
+    /// `chunk_rng(seed, i)`.
+    fn per_report_reference(
+        mech: &dyn Mechanism,
+        index: &PolicyIndex,
+        eps: f64,
+        locs: &[CellId],
+        seed: u64,
+    ) -> Vec<CellId> {
+        locs.iter()
+            .enumerate()
+            .map(|(i, &s)| {
+                let mut out = [CellId(0)];
+                mech.perturb_batch_into(index, eps, &[s], &mut chunk_rng(seed, i as u64), &mut out)
+                    .unwrap();
+                out[0]
+            })
+            .collect()
+    }
+
+    const BATCHES: [usize; 4] = [1, 100, 4096, 10_000];
+    const LANES: [usize; 4] = [1, 2, 4, 16];
+
     #[test]
     fn output_is_bit_identical_across_thread_counts() {
         let (index, locs) = workload(10_000);
@@ -343,22 +301,20 @@ mod tests {
         }
     }
 
-    /// The PR-3 contract: the persistent-pool path must be byte-identical
-    /// to the PR-2 scoped-spawn reference for every lane count — including
-    /// the single-lane inline fast path and batches at/below one chunk.
+    /// The pooled lanes — including the single-lane inline path — must
+    /// match the sequential per-report reference byte for byte.
     #[test]
     fn pooled_release_matches_scoped_reference() {
-        for n in [100, DEFAULT_CHUNK_SIZE, 10_000] {
+        for n in BATCHES {
             let (index, locs) = workload(n);
-            for threads in [1, 2, 4, 16] {
-                let r = ParallelReleaser::with_threads(threads);
-                let scoped = r
-                    .release_scoped(&GraphExponential, &index, 1.0, &locs, 7)
+            let reference = per_report_reference(&GraphExponential, &index, 1.0, &locs, 7);
+            for threads in LANES {
+                let pooled = ParallelReleaser::with_threads(threads)
+                    .release(&GraphExponential, &index, 1.0, &locs, 7)
                     .unwrap();
-                let pooled = r.release(&GraphExponential, &index, 1.0, &locs, 7).unwrap();
                 assert_eq!(
-                    pooled, scoped,
-                    "pooled != scoped at batch {n}, {threads} threads"
+                    pooled, reference,
+                    "pooled != per-report reference at batch {n}, {threads} threads"
                 );
             }
         }
@@ -367,33 +323,34 @@ mod tests {
     /// Output must not depend on the size of the pool running the lanes.
     #[test]
     fn output_is_pool_size_invariant() {
-        let (index, locs) = workload(20_000);
-        let r = ParallelReleaser::with_threads(4);
-        let reference = r
-            .release_scoped(&GraphExponential, &index, 1.0, &locs, 3)
-            .unwrap();
-        for workers in [1, 2, 8] {
-            let pool = ReleasePool::new(workers);
-            let out = r
-                .release_on(&pool, &GraphExponential, &index, 1.0, &locs, 3)
-                .unwrap();
-            assert_eq!(out, reference, "pool size {workers} changed output");
+        let pools: Vec<ReleasePool> = [1, 2, 8].into_iter().map(ReleasePool::new).collect();
+        for n in BATCHES {
+            let (index, locs) = workload(n);
+            let reference = per_report_reference(&GraphExponential, &index, 1.0, &locs, 3);
+            for threads in LANES {
+                let r = ParallelReleaser::with_threads(threads);
+                for pool in &pools {
+                    let out = r
+                        .release_on(pool, &GraphExponential, &index, 1.0, &locs, 3)
+                        .unwrap();
+                    assert_eq!(
+                        out,
+                        reference,
+                        "pool size {} changed output at batch {n}, {threads} threads",
+                        pool.n_workers()
+                    );
+                }
+            }
         }
     }
 
     #[test]
-    fn seed_and_chunk_size_are_part_of_the_stream() {
+    fn seed_is_part_of_the_stream() {
         let (index, locs) = workload(5_000);
         let r = ParallelReleaser::with_threads(4);
         let a = r.release(&UniformComponent, &index, 1.0, &locs, 1).unwrap();
         let b = r.release(&UniformComponent, &index, 1.0, &locs, 2).unwrap();
         assert_ne!(a, b, "different seeds must differ");
-        let c = r
-            .clone()
-            .with_chunk_size(512)
-            .release(&UniformComponent, &index, 1.0, &locs, 1)
-            .unwrap();
-        assert_ne!(a, c, "chunk size is documented as part of the stream");
     }
 
     #[test]
@@ -438,40 +395,41 @@ mod tests {
             r.release(&GraphExponential, &index, 1.0, &[], 3).unwrap(),
             Vec::new()
         );
-        // Invalid eps fails in every chunk; the error must surface.
+        // Invalid eps fails every report; the error must surface.
         let locs = vec![CellId(0); 100];
         assert!(matches!(
             r.release(&GraphExponential, &index, 0.0, &locs, 3),
             Err(PglpError::InvalidEpsilon(_))
         ));
-        // An out-of-domain cell in a late chunk also surfaces — from the
-        // pooled and the scoped path alike.
+        // Two foreign cells, in different lanes whenever there are several:
+        // the error names the earlier one at every lane count.
+        let (early, late) = (CellId(u32::MAX - 1), CellId(u32::MAX));
         let mut locs = vec![CellId(0); 9000];
-        locs[8999] = CellId(u32::MAX);
-        assert!(matches!(
-            r.release(&GraphExponential, &index, 1.0, &locs, 3),
-            Err(PglpError::LocationOutOfDomain(_))
-        ));
-        assert!(matches!(
-            r.release_scoped(&GraphExponential, &index, 1.0, &locs, 3),
-            Err(PglpError::LocationOutOfDomain(_))
-        ));
+        locs[100] = early;
+        locs[8999] = late;
+        for threads in LANES {
+            let err = ParallelReleaser::with_threads(threads)
+                .release(&GraphExponential, &index, 1.0, &locs, 3)
+                .unwrap_err();
+            assert!(
+                matches!(err, PglpError::LocationOutOfDomain(c) if c == early),
+                "{threads} threads: {err:?} must name the earlier foreign cell"
+            );
+        }
     }
 
     /// The lane memo: a release touches the shared distribution cache at
-    /// most once per distinct cell per lane, no matter how many chunks (or
-    /// reports) the lane covers.
+    /// most once per distinct cell per lane, no matter how many reports
+    /// the lane covers.
     #[test]
     fn release_touches_cache_once_per_distinct_cell_per_lane() {
         let grid = GridMap::new(16, 16, 100.0);
         let policy = LocationPolicyGraph::partition(grid, 4, 4);
         let index = PolicyIndex::new(policy);
         let distinct = 2usize;
-        // 40k reports over 2 distinct cells: 10 chunks on 4 lanes.
         let locs: Vec<CellId> = (0..40_000).map(|i| CellId(i % distinct as u32)).collect();
         let releaser = ParallelReleaser::with_threads(4);
-        let n_chunks = locs.len().div_ceil(releaser.chunk_size());
-        let n_lanes = releaser.n_threads().min(n_chunks);
+        let n_lanes = releaser.n_threads().min(locs.len());
         let touches0 = index.distribution_cache_touches();
         releaser
             .release(&GraphExponential, &index, 1.0, &locs, 9)

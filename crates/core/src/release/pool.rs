@@ -7,23 +7,24 @@
 //! bursts they sit parked in a bounded MPMC channel `recv` (zero CPU) and
 //! wake only when work arrives:
 //!
-//! * submission is a queue push, not a thread spawn — the per-call cost the
-//!   small-batch p50 in `BENCH_release.json` pays for;
+//! * submission is a queue push, not a thread spawn — the per-call cost an
+//!   ingest flush pays;
 //! * the queue is **bounded** ([`ReleasePool::QUEUE_SLOTS_PER_WORKER`]
 //!   slots per worker), so a producer that outruns the pool blocks on
 //!   submit instead of growing an unbounded backlog — the same
 //!   backpressure discipline the ingest pipeline builds on;
 //! * [`ReleasePool::run_scoped`] lends *borrowed* jobs to the `'static`
 //!   workers and blocks until every one has finished, so release calls can
-//!   hand out `&mut` output chunks without copying — the pool-flavoured
+//!   hand out `&mut` output lanes without copying — the pool-flavoured
 //!   equivalent of a crossbeam scope;
 //! * dropping the pool disconnects the queue; workers drain what is already
 //!   queued, then exit, and `Drop` joins them (no report in flight is
 //!   lost).
 //!
-//! Scheduling never affects output: the release paths key every RNG stream
-//! off the chunk index, so *which* worker runs a chunk is irrelevant — see
-//! the determinism contract on [`ParallelReleaser`](super::ParallelReleaser).
+//! Scheduling never affects output: the release kernel keys every RNG
+//! stream off the report's sequence number, so *which* worker runs a lane
+//! is irrelevant — see the determinism contract on
+//! [`ParallelReleaser`](super::ParallelReleaser).
 //!
 //! Contention discipline: each lane a pool worker runs owns a
 //! [`SamplerMemo`](crate::mech::SamplerMemo), so concurrent lanes touch the
@@ -179,7 +180,7 @@ impl ReleasePool {
 
     /// Runs `jobs` on the pool and blocks until **all** of them have
     /// finished — the pool-flavoured crossbeam scope. Jobs may borrow from
-    /// the caller's stack (disjoint `&mut` output chunks included).
+    /// the caller's stack (disjoint `&mut` output lanes included).
     ///
     /// Don't call this from *inside* a pool job: the inner call would wait
     /// for workers that may all be parked in outer calls doing the same.

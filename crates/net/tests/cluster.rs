@@ -141,14 +141,14 @@ fn cluster_matches_single_process_pipeline() {
     let flush_configs = [
         IngestConfig {
             max_batch: 64,
-            release_lanes: 2,
+            release_threads: 2,
             seed: 7,
             ..Default::default()
         },
         IngestConfig {
             max_batch: usize::MAX,
             max_delay: Duration::from_micros(200),
-            release_lanes: 4,
+            release_threads: 4,
             seed: 7,
             ..Default::default()
         },
@@ -183,7 +183,7 @@ fn cluster_backpressure_mid_stream_keeps_byte_identity() {
     let reports = trace(1_200, 99);
     let config = IngestConfig {
         max_batch: 64,
-        release_lanes: 2,
+        release_threads: 2,
         seed: 7,
         ..Default::default()
     };

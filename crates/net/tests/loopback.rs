@@ -64,20 +64,20 @@ fn tcp_delivery_matches_in_process_submission() {
     let flush_configs = [
         IngestConfig {
             max_batch: 512,
-            release_lanes: 1,
+            release_threads: 1,
             seed: 9,
             ..Default::default()
         },
         IngestConfig {
             max_batch: 64,
-            release_lanes: 4,
+            release_threads: 4,
             seed: 9,
             ..Default::default()
         },
         IngestConfig {
             max_batch: usize::MAX,
             max_delay: Duration::from_micros(200),
-            release_lanes: 8,
+            release_threads: 8,
             seed: 9,
             ..Default::default()
         },
@@ -113,7 +113,7 @@ fn tcp_delivery_matches_in_process_submission() {
             server.reported_db(horizon).trajectories(),
             ref_db.trajectories(),
             "per-report TCP delivery diverged (lanes={}, max_batch={})",
-            config.release_lanes,
+            config.release_threads,
             config.max_batch
         );
 
@@ -131,7 +131,7 @@ fn tcp_delivery_matches_in_process_submission() {
             server.reported_db(horizon).trajectories(),
             ref_db.trajectories(),
             "batched TCP delivery diverged (lanes={}, max_batch={})",
-            config.release_lanes,
+            config.release_threads,
             config.max_batch
         );
     }
@@ -741,7 +741,7 @@ fn concurrent_scraping_never_perturbs_the_landed_db() {
     let horizon = 16;
     let config = IngestConfig {
         max_batch: 64,
-        release_lanes: 4,
+        release_threads: 4,
         seed: 21,
         ..Default::default()
     };

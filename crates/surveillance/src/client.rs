@@ -226,8 +226,8 @@ impl Client {
     ///
     /// The caller perturbs the returned cells — typically in one
     /// [`panda_core::release::ParallelReleaser`] batch shared across all
-    /// clients — which is distributionally identical to the per-epoch
-    /// `report` loop.
+    /// clients, each report drawn from the stream of its batch position —
+    /// which is distributionally identical to the per-epoch `report` loop.
     pub fn plan_routine(&mut self, horizon: Timestamp) -> (Vec<(Timestamp, CellId)>, bool) {
         let mut plan = Vec::new();
         let policy = self.index.policy();

@@ -13,8 +13,9 @@
 //!   flush policy: a batch goes out when it reaches
 //!   [`IngestConfig::max_batch`] reports or when its oldest report has
 //!   waited [`IngestConfig::max_delay`];
-//! * each flush releases through one shared [`PolicyIndex`] over the
-//!   persistent release pool and lands via `Server::receive_batch`;
+//! * each flush releases through one shared [`PolicyIndex`] with the
+//!   release kernel bulk release uses ([`ParallelReleaser`]), over the
+//!   persistent release pool, and lands via `Server::receive_batch`;
 //! * dropping or [`IngestPipeline::shutdown`]-ing the pipeline **drains**:
 //!   everything queued before shutdown is flushed before the collector
 //!   exits — no report is lost.
@@ -46,8 +47,7 @@
 use crate::protocol::LocationReport;
 use crate::server::Server;
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
-use panda_core::release::chunk_rng;
-use panda_core::{Mechanism, PolicyIndex, ReleasePool, SamplerMemo};
+use panda_core::{Mechanism, ParallelReleaser, PolicyIndex, ReleasePool};
 use panda_geo::CellId;
 use panda_mobility::{Timestamp, UserId};
 use panda_obs::{clock, Counter, Gauge, Histogram, Registry};
@@ -107,10 +107,11 @@ pub struct IngestConfig {
     /// Bounded queue capacity: producers block (or [`IngestHandle::try_submit`]
     /// fails fast) once this many messages are in flight.
     pub queue_capacity: usize,
-    /// Maximum release lanes per flush over the shared pool (1 = release
-    /// inline on the collector thread). Affects wall-clock only, never the
-    /// released cells.
-    pub release_lanes: usize,
+    /// Maximum release lanes per flush over the pool, as in
+    /// `ParallelReleaser::with_threads` (1 = release inline on the
+    /// collector thread). Affects wall-clock only, never the released
+    /// cells.
+    pub release_threads: usize,
     /// ε per released report.
     pub eps: f64,
     /// Base seed of the per-report RNG streams.
@@ -123,7 +124,7 @@ impl Default for IngestConfig {
             max_batch: 512,
             max_delay: Duration::from_millis(5),
             queue_capacity: 8192,
-            release_lanes: panda_core::release::pool::default_parallelism(),
+            release_threads: panda_core::release::pool::default_parallelism(),
             eps: 1.0,
             seed: 0,
         }
@@ -588,8 +589,9 @@ impl Collector {
         }
     }
 
-    /// Releases the pending micro-batch (per-report RNG streams, fanned
-    /// over the pipeline's pool) and lands it on the server.
+    /// Releases the pending micro-batch through the release kernel
+    /// (per-report RNG streams, lanes fanned over the pipeline's pool) and
+    /// lands it on the server.
     fn flush(&mut self, cause: FlushCause) {
         self.oldest = None;
         if self.pending.is_empty() {
@@ -603,38 +605,36 @@ impl Collector {
         // free of per-report atomics.
         self.metrics.submitted.add(batch.len() as u64);
         self.metrics.flush_reports.record(batch.len() as u64);
-        let mut released: Vec<Option<CellId>> = vec![None; batch.len()];
-        let n_lanes = self.config.release_lanes.max(1).min(batch.len());
-        let lane_len = batch.len().div_ceil(n_lanes);
-        if n_lanes == 1 {
-            release_lane(
+        // `Released` entries land verbatim without drawing; the rest go
+        // through the release kernel, keyed by their arrival seq.
+        let stamped: Vec<(u64, CellId)> = batch
+            .iter()
+            .filter(|e| !e.released)
+            .map(|e| (e.seq, e.report.cell))
+            .collect();
+        let pool = self
+            .pool
+            .as_deref()
+            .unwrap_or_else(|| ReleasePool::global());
+        let (drawn, _) = ParallelReleaser::with_threads(self.config.release_threads)
+            .release_stamped(
+                pool,
                 &*self.mech,
                 &self.index,
                 self.config.eps,
                 self.config.seed,
-                &batch,
-                &mut released,
+                &stamped,
             );
-        } else {
-            let mech = &*self.mech;
-            let (index, eps, seed) = (&self.index, self.config.eps, self.config.seed);
-            let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = batch
-                .chunks(lane_len)
-                .zip(released.chunks_mut(lane_len))
-                .map(|(reports, out)| {
-                    Box::new(move || release_lane(mech, index, eps, seed, reports, out))
-                        as Box<dyn FnOnce() + Send + '_>
-                })
-                .collect();
-            self.pool
-                .as_deref()
-                .unwrap_or_else(|| ReleasePool::global())
-                .run_scoped(jobs);
-        }
+        let mut drawn = drawn.into_iter();
         let mut landed = Vec::with_capacity(batch.len());
-        for (&entry, z) in batch.iter().zip(released) {
+        for entry in &batch {
             let r = entry.report;
-            match z {
+            let released = if entry.released {
+                Some(r.cell)
+            } else {
+                drawn.next().expect("one draw per pending report")
+            };
+            match released {
                 Some(cell) => landed.push(LocationReport {
                     user: r.user,
                     epoch: r.epoch,
@@ -663,66 +663,10 @@ impl Collector {
     }
 }
 
-/// Releases one lane of a micro-batch: each report from its own RNG stream
-/// `chunk_rng(seed, arrival seq)`, so the output is a pure per-report
-/// function — invariant to batching, lane count and scheduling. `None`
-/// marks a rejected report.
-///
-/// The lane owns one [`SamplerMemo`]: the shared [`PolicyIndex`]
-/// distribution cache is touched at most **once per distinct cell per
-/// lane** (resolution), and every report then draws lock-free from its own
-/// arrival-seq stream. Sampler resolution consumes no randomness, so the
-/// landed cells are byte-identical to releasing each report through
-/// [`Mechanism::perturb_batch_into`] on its own — multi-lane flushes no
-/// longer serialise on the cache mutex under cell-concentrated load.
-fn release_lane(
-    mech: &(dyn Mechanism + Sync),
-    index: &PolicyIndex,
-    eps: f64,
-    seed: u64,
-    reports: &[SequencedReport],
-    out: &mut [Option<CellId>],
-) {
-    let mut memo = SamplerMemo::new();
-    let use_memo = mech.prefers_sampler_memo();
-    for (&entry, slot) in reports.iter().zip(out.iter_mut()) {
-        let (seq, r) = (entry.seq, entry.report);
-        if entry.released {
-            // Client-side release: the cell is final, no randomness drawn —
-            // the seq only fixed its place in the overwrite order.
-            *slot = Some(r.cell);
-            continue;
-        }
-        let mut rng = chunk_rng(seed, seq);
-        if !use_memo {
-            // Resolution is declared trivially cheap: the per-report path
-            // (identical draw streams), skipping the memo lookup.
-            let mut released = [CellId(0)];
-            *slot = mech
-                .perturb_batch_into(index, eps, &[r.cell], &mut rng, &mut released)
-                .ok()
-                .map(|()| released[0]);
-            continue;
-        }
-        *slot = match memo.resolve(mech, index, eps, r.cell) {
-            Ok(Some(sampler)) => Some(sampler.draw(&mut rng)),
-            // No sampler support: the historical per-report path, same
-            // RNG stream.
-            Ok(None) => {
-                let mut released = [CellId(0)];
-                mech.perturb_batch_into(index, eps, &[r.cell], &mut rng, &mut released)
-                    .ok()
-                    .map(|()| released[0])
-            }
-            // Unreleasable report (bad ε, foreign cell): rejected.
-            Err(_) => None,
-        };
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use panda_core::release::chunk_rng;
     use panda_core::{GraphExponential, LocationPolicyGraph};
     use panda_geo::GridMap;
     use rand::rngs::StdRng;
@@ -772,21 +716,21 @@ mod tests {
             // One lane, big batches.
             IngestConfig {
                 max_batch: 1024,
-                release_lanes: 1,
+                release_threads: 1,
                 seed: 9,
                 ..Default::default()
             },
             // Many lanes, big batches.
             IngestConfig {
                 max_batch: 1024,
-                release_lanes: 8,
+                release_threads: 8,
                 seed: 9,
                 ..Default::default()
             },
             // Tiny batches: ~94 flushes instead of 3.
             IngestConfig {
                 max_batch: 32,
-                release_lanes: 4,
+                release_threads: 4,
                 seed: 9,
                 ..Default::default()
             },
@@ -794,7 +738,7 @@ mod tests {
             IngestConfig {
                 max_batch: usize::MAX,
                 max_delay: Duration::from_micros(200),
-                release_lanes: 2,
+                release_threads: 2,
                 seed: 9,
                 ..Default::default()
             },
@@ -810,7 +754,7 @@ mod tests {
                 server.reported_db(horizon).trajectories(),
                 ref_db.trajectories(),
                 "lanes={} max_batch={} changed the DB",
-                config.release_lanes,
+                config.release_threads,
                 config.max_batch
             );
         }
@@ -1137,8 +1081,66 @@ mod tests {
         }
     }
 
+    /// One release kernel, one keying scheme: a bulk
+    /// `ParallelReleaser::release` of `n` cells equals what a pipeline with
+    /// the same seed lands when fed the same `n` cells in order — for every
+    /// lane count on both sides.
+    #[test]
+    fn bulk_release_matches_streaming_ingest() {
+        use panda_core::{IdentityMechanism, UniformComponent};
+        let (eps, seed) = (0.8, 23);
+        let mut rng = StdRng::seed_from_u64(5);
+        let cells: Vec<CellId> = (0..1_500).map(|_| CellId(rng.gen_range(0..64))).collect();
+        // Distinct (user, epoch) keys, so nothing overwrites.
+        let trace: Vec<PendingReport> = cells
+            .iter()
+            .enumerate()
+            .map(|(i, &cell)| PendingReport {
+                user: UserId(i as u32 % 100),
+                epoch: (i / 100) as Timestamp,
+                cell,
+                resend: false,
+            })
+            .collect();
+        let mechs: Vec<Arc<dyn Mechanism + Send + Sync>> = vec![
+            Arc::new(GraphExponential),
+            Arc::new(UniformComponent),
+            Arc::new(IdentityMechanism),
+        ];
+        for mech in mechs {
+            for lanes in [1, 2, 4, 16] {
+                let (server, index) = setup(16);
+                let bulk = ParallelReleaser::with_threads(lanes)
+                    .release(&*mech, &index, eps, &cells, seed)
+                    .unwrap();
+                let pipeline = IngestPipeline::spawn(
+                    Arc::clone(&server),
+                    index,
+                    Arc::clone(&mech),
+                    IngestConfig {
+                        max_batch: 256,
+                        release_threads: lanes,
+                        eps,
+                        seed,
+                        ..Default::default()
+                    },
+                );
+                pipeline.handle().submit(&trace).unwrap();
+                assert_eq!(pipeline.shutdown().landed, trace.len());
+                for (r, &z) in trace.iter().zip(&bulk) {
+                    assert_eq!(
+                        server.reported_cell(r.user, r.epoch),
+                        Some(z),
+                        "{}: {lanes} lanes, bulk and streaming differ",
+                        mech.name()
+                    );
+                }
+            }
+        }
+    }
+
     /// The sampler-handle contract: the streaming path (per-lane memoised
-    /// [`SamplerMemo`] release) must land a database bit-identical to
+    /// `SamplerMemo` release) must land a database bit-identical to
     /// releasing every report through the per-report path (one
     /// `perturb_batch_into` call per arrival-seq stream) — for every
     /// mechanism, lane count in 1..16, and flush timing.
@@ -1196,7 +1198,7 @@ mod tests {
                     IngestConfig {
                         max_batch,
                         max_delay: delay,
-                        release_lanes: lanes,
+                        release_threads: lanes,
                         eps,
                         seed,
                         ..Default::default()
@@ -1244,7 +1246,7 @@ mod tests {
             IngestConfig {
                 max_batch: 256,
                 max_delay: Duration::from_secs(3600),
-                release_lanes: lanes,
+                release_threads: lanes,
                 ..Default::default()
             },
         );
@@ -1465,7 +1467,7 @@ mod tests {
             let config = IngestConfig {
                 queue_capacity: 4,
                 max_batch: 16,
-                release_lanes: 2,
+                release_threads: 2,
                 seed: 3,
                 ..Default::default()
             };

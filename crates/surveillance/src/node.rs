@@ -47,7 +47,7 @@ pub struct ShardNode {
 
 impl ShardNode {
     /// Spawns a node over `server`, releasing through `mech` under
-    /// `index`, with `release_lanes` dedicated pool workers (the node
+    /// `index`, with `release_threads` dedicated pool workers (the node
     /// owns its lanes — one node's flush storm cannot starve another's).
     pub fn spawn(
         server: Arc<Server>,
@@ -55,7 +55,7 @@ impl ShardNode {
         mech: Arc<dyn Mechanism + Send + Sync>,
         config: IngestConfig,
     ) -> Self {
-        let pool = Arc::new(ReleasePool::new(config.release_lanes.max(1)));
+        let pool = Arc::new(ReleasePool::new(config.release_threads.max(1)));
         let pipeline =
             IngestPipeline::spawn_on(Arc::clone(&server), index, mech, config, Arc::clone(&pool));
         ShardNode {
@@ -144,7 +144,7 @@ mod tests {
         IngestConfig {
             max_batch: 64,
             max_delay: Duration::from_millis(1),
-            release_lanes: 2,
+            release_threads: 2,
             seed: 7,
             ..IngestConfig::default()
         }

@@ -7,8 +7,9 @@
 //!
 //! * [`Server::receive`] locks exactly one shard;
 //! * [`Server::receive_batch`] groups the batch by shard first and then
-//!   locks each touched shard **once**, which is how the parallel release
-//!   engine (`panda_core::release::ParallelReleaser`) feeds output in;
+//!   locks each touched shard **once**, which is how the release kernel's
+//!   output lands, from a bulk `panda_core::release::ParallelReleaser`
+//!   release and from every ingest flush alike;
 //! * ingest counters are per-shard atomics (no lock at all), aggregated on
 //!   read. They are plain state, not telemetry, so they count with
 //!   `--cfg panda_obs_off` too, and each is bumped only after its rows are

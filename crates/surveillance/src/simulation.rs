@@ -481,7 +481,7 @@ mod tests {
             let mut rng = SmallRng::seed_from_u64(seed);
             let cfg = StreamingConfig {
                 ingest: IngestConfig {
-                    release_lanes: lanes,
+                    release_threads: lanes,
                     max_batch,
                     ..Default::default()
                 },

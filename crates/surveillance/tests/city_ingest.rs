@@ -55,7 +55,7 @@ fn run(index: Arc<PolicyIndex>, reports: &[PendingReport]) -> Arc<Server> {
         IngestConfig {
             max_batch: 512,
             max_delay: Duration::from_millis(5),
-            release_lanes: 4,
+            release_threads: 4,
             eps: 1.0,
             seed: 42,
             ..Default::default()

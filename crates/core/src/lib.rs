@@ -28,8 +28,8 @@
 //!   from its own `(seed, seq)` stream) behind both bulk release and the
 //!   ingest pipeline, fanned by [`release::ParallelReleaser`] over one
 //!   shared [`PolicyIndex`] in contiguous lanes on the persistent
-//!   [`release::pool::ReleasePool`] (workers parked between bursts; a
-//!   single lane runs inline on the caller).
+//!   [`release::pool::ReleasePool`] (workers parked between bursts; the
+//!   caller runs the last lane itself).
 //! * [`budget`] — policy-aware privacy-budget allocation and sequential
 //!   composition across release epochs.
 //! * [`repair`] — policy feasibility under external constraints and minimal

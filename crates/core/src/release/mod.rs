@@ -20,8 +20,9 @@
 //!   equals releasing each report alone through
 //!   [`Mechanism::perturb_batch_into`];
 //! * a batch is cut into contiguous lanes fanned over the persistent
-//!   [`pool::ReleasePool`]; one lane runs **inline on the caller thread**
-//!   with no hand-off.
+//!   [`pool::ReleasePool`]. The **caller runs the last lane itself** and
+//!   the workers take the others, so one lane never leaves the caller
+//!   thread and two lanes send one across.
 //!
 //! The surveillance server consumes the output via
 //! `Server::receive_batch`, which groups reports by shard before taking any
@@ -130,7 +131,8 @@ impl ParallelReleaser {
     /// such position.
     ///
     /// The batch is cut into up to [`ParallelReleaser::n_threads`]
-    /// contiguous lanes; a single lane runs inline on the caller thread.
+    /// contiguous lanes. The caller thread runs the last lane (a single
+    /// lane never reaches the pool) while pool workers run the rest.
     pub fn release_stamped(
         &self,
         pool: &ReleasePool,

@@ -17,6 +17,10 @@
 //!   workers and blocks until every one has finished, so release calls can
 //!   hand out `&mut` output lanes without copying — the pool-flavoured
 //!   equivalent of a crossbeam scope;
+//! * **the caller runs the last job itself** while the workers take the
+//!   others, so a call with `k` jobs sends only `k − 1` across threads
+//!   and the caller parks on the latch only for what is still running
+//!   elsewhere (with two lanes, one job crosses a thread);
 //! * dropping the pool disconnects the queue; workers drain what is already
 //!   queued, then exit, and `Drop` joins them (no report in flight is
 //!   lost).
@@ -178,9 +182,10 @@ impl ReleasePool {
         registry.register_histogram("panda_pool_burst_ns", &self.burst_ns);
     }
 
-    /// Runs `jobs` on the pool and blocks until **all** of them have
-    /// finished — the pool-flavoured crossbeam scope. Jobs may borrow from
-    /// the caller's stack (disjoint `&mut` output lanes included).
+    /// Runs `jobs` and blocks until **all** of them have finished — the
+    /// pool-flavoured crossbeam scope. Jobs may borrow from the caller's
+    /// stack (disjoint `&mut` output lanes included). Every job but the
+    /// last goes to the workers; the last runs on the calling thread.
     ///
     /// Don't call this from *inside* a pool job: the inner call would wait
     /// for workers that may all be parked in outer calls doing the same.
@@ -188,26 +193,26 @@ impl ReleasePool {
     ///
     /// # Panics
     ///
-    /// Re-raises (as a panic in the caller) when any job panicked; the
-    /// latch still waits for the remaining jobs first, so borrowed data is
-    /// never left aliased by a live worker.
-    pub fn run_scoped<'env>(&self, jobs: Vec<Box<dyn FnOnce() + Send + 'env>>) {
-        if jobs.is_empty() {
+    /// Re-raises (as a panic in the caller) when any job panicked, the
+    /// inline one included; the latch still waits for the worker jobs
+    /// first, so borrowed data is never left aliased by a live worker.
+    pub fn run_scoped<'env>(&self, mut jobs: Vec<Box<dyn FnOnce() + Send + 'env>>) {
+        let Some(inline) = jobs.pop() else {
             return;
-        }
+        };
         let t0 = clock::now();
         let latch = Arc::new(Latch::new(jobs.len()));
         let tx = self.tx.as_ref().expect("pool alive");
         let mut send_failed = false;
         let mut jobs = jobs.into_iter();
         for job in jobs.by_ref() {
-            // SAFETY: every exit from this function — success, job panic,
-            // or submission failure — first waits on the latch below, and
-            // the latch only opens once each submitted job has run to
-            // completion (the wrapper decrements on the job's panic path
-            // too) and each unsubmitted job has been accounted for. So
-            // every `'env` borrow a job captures strictly outlives its
-            // execution on the worker.
+            // SAFETY: every exit from this function — success, job panic
+            // (the inline job's is caught), or submission failure — first
+            // waits on the latch below, and the latch only opens once each
+            // submitted job has run to completion (the wrapper decrements
+            // on the job's panic path too) and each unsubmitted job has
+            // been accounted for. So every `'env` borrow a job captures
+            // strictly outlives its execution on the worker.
             let job: Job =
                 unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'env>, Job>(job) };
             let job_latch = Arc::clone(&latch);
@@ -232,11 +237,14 @@ impl ReleasePool {
                 break;
             }
         }
+        // Caught, not unwound: the worker jobs may still borrow the
+        // caller's stack until the latch opens.
+        let inline_panicked = catch_unwind(AssertUnwindSafe(inline)).is_err();
         latch.wait();
         self.burst_ns.record(clock::ns_since(t0));
         self.bursts.inc();
         assert!(!send_failed, "release pool workers exited early");
-        if latch.panicked.load(Ordering::Acquire) {
+        if inline_panicked || latch.panicked.load(Ordering::Acquire) {
             panic!("release pool job panicked");
         }
     }
@@ -341,24 +349,66 @@ mod tests {
     }
 
     #[test]
+    fn last_job_runs_on_the_caller_thread() {
+        let pool = ReleasePool::new(1);
+        let ran_on = Mutex::new(Vec::new());
+        let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = (0..2)
+            .map(|i| {
+                let ran_on = &ran_on;
+                Box::new(move || {
+                    ran_on
+                        .lock()
+                        .unwrap()
+                        .push((i, std::thread::current().id()));
+                }) as Box<dyn FnOnce() + Send + '_>
+            })
+            .collect();
+        pool.run_scoped(jobs);
+        let mut ran_on = ran_on.into_inner().unwrap();
+        ran_on.sort_unstable_by_key(|&(i, _)| i);
+        let caller = std::thread::current().id();
+        assert_ne!(ran_on[0].1, caller, "the first job goes to a worker");
+        assert_eq!(ran_on[1].1, caller, "the last job runs inline");
+    }
+
+    #[test]
     fn job_panic_surfaces_after_all_jobs_complete() {
         let pool = ReleasePool::new(2);
-        let completed = Arc::new(AtomicUsize::new(0));
-        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            let completed = Arc::clone(&completed);
-            let mut jobs: Vec<Box<dyn FnOnce() + Send + '_>> = vec![Box::new(|| {
-                panic!("job boom");
-            })];
-            for _ in 0..8 {
-                let completed = Arc::clone(&completed);
-                jobs.push(Box::new(move || {
-                    completed.fetch_add(1, Ordering::Relaxed);
-                }));
-            }
-            pool.run_scoped(jobs);
-        }));
-        assert!(result.is_err(), "job panic must re-raise in the caller");
-        assert_eq!(completed.load(Ordering::Relaxed), 8, "healthy jobs ran");
+        // The panicking job first (a worker runs it), then last (the
+        // caller runs it inline): either way every other job completes
+        // before the panic re-raises.
+        for panic_last in [false, true] {
+            let completed = Arc::new(AtomicUsize::new(0));
+            let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                let mut jobs: Vec<Box<dyn FnOnce() + Send + '_>> = (0..8)
+                    .map(|_| {
+                        let completed = Arc::clone(&completed);
+                        Box::new(move || {
+                            // Slow enough that an inline panic would
+                            // otherwise unwind before the workers finish.
+                            std::thread::sleep(std::time::Duration::from_millis(2));
+                            completed.fetch_add(1, Ordering::Relaxed);
+                        }) as Box<dyn FnOnce() + Send + '_>
+                    })
+                    .collect();
+                let boom: Box<dyn FnOnce() + Send + '_> = Box::new(|| panic!("job boom"));
+                if panic_last {
+                    jobs.push(boom);
+                } else {
+                    jobs.insert(0, boom);
+                }
+                pool.run_scoped(jobs);
+            }));
+            assert!(
+                result.is_err(),
+                "job panic must re-raise in the caller (panic_last={panic_last})"
+            );
+            assert_eq!(
+                completed.load(Ordering::Relaxed),
+                8,
+                "healthy jobs ran before the re-raise (panic_last={panic_last})"
+            );
+        }
         // The pool survives a panicked job.
         let counter = AtomicUsize::new(0);
         pool.run_scoped(vec![Box::new(|| {

@@ -113,8 +113,14 @@ impl Client {
 
     /// Records the true location for `epoch` in the local database,
     /// evicting entries older than the retention window.
+    ///
+    /// # Panics
+    ///
+    /// When `epoch` is not later than the last observed epoch. The history
+    /// stays epoch-sorted with one true cell per epoch: retention evicts
+    /// from the front, and re-sends look epochs up by value.
     pub fn observe(&mut self, epoch: Timestamp, cell: CellId) {
-        debug_assert!(
+        assert!(
             self.history.back().is_none_or(|&(t, _)| t < epoch),
             "observations must arrive in epoch order"
         );

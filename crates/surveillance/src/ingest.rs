@@ -13,9 +13,17 @@
 //!   flush policy: a batch goes out when it reaches
 //!   [`IngestConfig::max_batch`] reports or when its oldest report has
 //!   waited [`IngestConfig::max_delay`];
+//! * the collector **drains in runs**: each time a blocking receive wakes
+//!   it, it also takes the messages queued behind, up to the pending
+//!   batch's free room, under one more lock
+//!   (`Receiver::try_recv_batch`), and handles them in order. Reports in
+//!   memory stay within `queue_capacity + max_batch`. A drained run has
+//!   left the queue, so [`IngestHandle::queue_len`] can read up to
+//!   `max_batch` lower than the backlog the collector has not yet handled;
 //! * each flush releases through one shared [`PolicyIndex`] with the
 //!   release kernel bulk release uses ([`ParallelReleaser`]), over the
-//!   persistent release pool, and lands via `Server::receive_batch`;
+//!   persistent release pool — the collector runs the last lane itself —
+//!   and lands via `Server::receive_batch`;
 //! * dropping or [`IngestPipeline::shutdown`]-ing the pipeline **drains**:
 //!   everything queued before shutdown is flushed before the collector
 //!   exits — no report is lost.
@@ -51,6 +59,7 @@ use panda_core::{Mechanism, ParallelReleaser, PolicyIndex, ReleasePool};
 use panda_geo::CellId;
 use panda_mobility::{Timestamp, UserId};
 use panda_obs::{clock, Counter, Gauge, Histogram, Registry};
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -107,10 +116,11 @@ pub struct IngestConfig {
     /// Bounded queue capacity: producers block (or [`IngestHandle::try_submit`]
     /// fails fast) once this many messages are in flight.
     pub queue_capacity: usize,
-    /// Maximum release lanes per flush over the pool, as in
-    /// `ParallelReleaser::with_threads` (1 = release inline on the
-    /// collector thread). Affects wall-clock only, never the released
-    /// cells.
+    /// Maximum release lanes per flush, as in
+    /// `ParallelReleaser::with_threads`. The collector thread runs the last
+    /// lane itself and pool workers take the others, so 1 releases wholly
+    /// inline and 2 hands one lane to the pool. Affects wall-clock only,
+    /// never the released cells.
     pub release_threads: usize,
     /// ε per released report.
     pub eps: f64,
@@ -287,6 +297,8 @@ impl IngestHandle {
     }
 
     /// Messages currently queued (racy by nature; for monitoring/tests).
+    /// The collector's drained run is not counted: at most `max_batch`
+    /// received messages wait outside the queue for their turn.
     pub fn queue_len(&self) -> usize {
         self.tx.len()
     }
@@ -493,6 +505,10 @@ impl Collector {
     }
 
     fn run(mut self, rx: Receiver<IngestMsg>) -> IngestStats {
+        // The run of messages taken under one lock, handled in order. It
+        // holds at most what the pending batch has room for, so reports in
+        // memory stay within `queue_capacity + max_batch`.
+        let mut run = VecDeque::new();
         loop {
             // Sample the backlog at batch boundaries only (first message
             // of a batch and idle wake-ups): per-message gauge stores are
@@ -508,8 +524,9 @@ impl Collector {
             let deadline = self
                 .oldest
                 .and_then(|oldest| oldest.checked_add(self.config.max_delay));
+            // Every sender gone reads as a Stop: drain and exit.
             let msg = match deadline {
-                None => rx.recv().ok(),
+                None => rx.recv().unwrap_or(IngestMsg::Stop),
                 Some(deadline) => {
                     let now = clock::now();
                     if now >= deadline {
@@ -517,63 +534,78 @@ impl Collector {
                         continue;
                     }
                     match rx.recv_timeout(deadline - now) {
-                        Ok(msg) => Some(msg),
+                        Ok(msg) => msg,
                         Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
                             self.flush(FlushCause::Deadline);
                             continue;
                         }
-                        Err(crossbeam::channel::RecvTimeoutError::Disconnected) => None,
+                        Err(crossbeam::channel::RecvTimeoutError::Disconnected) => IngestMsg::Stop,
                     }
                 }
             };
-            match msg {
-                Some(IngestMsg::Report(entry)) => {
-                    let (report, released) = match entry {
-                        Entry::Sequenced(s) => {
-                            // Keep the local counter ahead of upstream
-                            // stamps so a pipeline fed from both paths
-                            // never reuses a stream.
-                            self.next_seq = self.next_seq.max(s.seq.saturating_add(1));
-                            self.push_entry(s);
-                            continue;
-                        }
-                        Entry::Pending(report) => (report, false),
-                        Entry::Released(r) => {
-                            let report = PendingReport {
-                                user: r.user,
-                                epoch: r.epoch,
-                                cell: r.cell,
-                                resend: r.resend,
-                            };
-                            (report, true)
-                        }
-                    };
-                    let seq = self.next_seq;
-                    self.next_seq += 1;
-                    self.push_entry(SequencedReport {
-                        seq,
-                        report,
-                        released,
-                    });
-                }
-                Some(IngestMsg::Switch(index)) => {
-                    // Flush under the old policy first: the switch is a
-                    // clean boundary in the landed stream.
-                    self.flush(FlushCause::Forced);
-                    self.index = index;
-                    // Re-point the scrape plane at the new index's cache
-                    // handles (adopt-replace by name).
-                    self.index.register_metrics(&self.registry);
-                    self.stats.policy_switches += 1;
-                    self.metrics.policy_switches.inc();
-                }
-                // Stop, or every sender gone: drain and exit.
-                Some(IngestMsg::Stop) | None => {
-                    self.flush(FlushCause::Forced);
+            // Wake once, drain in runs: take what is already queued behind
+            // `msg`, up to the pending batch's free room, under one lock.
+            run.push_back(msg);
+            let room = self.config.max_batch.saturating_sub(self.pending.len() + 1);
+            rx.try_recv_batch(&mut run, room);
+            while let Some(msg) = run.pop_front() {
+                if !self.handle(msg) {
                     return self.stats;
                 }
             }
         }
+    }
+
+    /// Handles one queue message in arrival order; `false` once the
+    /// collector has drained for a Stop and should exit.
+    fn handle(&mut self, msg: IngestMsg) -> bool {
+        match msg {
+            IngestMsg::Report(entry) => {
+                let (report, released) = match entry {
+                    Entry::Sequenced(s) => {
+                        // Keep the local counter ahead of upstream stamps
+                        // so a pipeline fed from both paths never reuses a
+                        // stream.
+                        self.next_seq = self.next_seq.max(s.seq.saturating_add(1));
+                        self.push_entry(s);
+                        return true;
+                    }
+                    Entry::Pending(report) => (report, false),
+                    Entry::Released(r) => {
+                        let report = PendingReport {
+                            user: r.user,
+                            epoch: r.epoch,
+                            cell: r.cell,
+                            resend: r.resend,
+                        };
+                        (report, true)
+                    }
+                };
+                let seq = self.next_seq;
+                self.next_seq += 1;
+                self.push_entry(SequencedReport {
+                    seq,
+                    report,
+                    released,
+                });
+            }
+            IngestMsg::Switch(index) => {
+                // Flush under the old policy first: the switch is a clean
+                // boundary in the landed stream.
+                self.flush(FlushCause::Forced);
+                self.index = index;
+                // Re-point the scrape plane at the new index's cache
+                // handles (adopt-replace by name).
+                self.index.register_metrics(&self.registry);
+                self.stats.policy_switches += 1;
+                self.metrics.policy_switches.inc();
+            }
+            IngestMsg::Stop => {
+                self.flush(FlushCause::Forced);
+                return false;
+            }
+        }
+        true
     }
 
     /// Appends one sequenced entry to the pending batch, counting it and

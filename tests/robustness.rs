@@ -122,7 +122,7 @@ fn client_rejects_time_travel_observations() {
         1.0,
     );
     client.observe(5, CellId(0));
-    client.observe(3, CellId(1)); // must panic in debug builds
+    client.observe(3, CellId(1)); // must panic
 }
 
 #[test]

@@ -151,6 +151,14 @@ mod tests {
             ) -> Result<CellId, PglpError> {
                 GraphExponential.perturb(policy, eps, s, rng)
             }
+            fn sampler<'a>(
+                &'a self,
+                index: &'a panda_core::PolicyIndex,
+                eps: f64,
+                s: CellId,
+            ) -> Result<panda_core::CellSampler<'a>, PglpError> {
+                GraphExponential.sampler(index, eps, s)
+            }
         }
         let p = policy();
         let exact = LikelihoodModel::build(&GraphExponential, &p, 1.0, 0).unwrap();

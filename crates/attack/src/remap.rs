@@ -93,34 +93,11 @@ impl Mechanism for RemappedMechanism<'_> {
         Some(acc.into_iter().collect())
     }
 
-    /// Delegates to the base mechanism's batched path and applies the remap
-    /// table in place. Crucially this **never caches under this wrapper's
-    /// non-unique `name()`**: the base releases under its own cache keys, so
-    /// two wrappers over different bases can share one [`PolicyIndex`]
-    /// without colliding in the distribution cache.
-    fn perturb_batch_into(
-        &self,
-        index: &PolicyIndex,
-        eps: f64,
-        locs: &[CellId],
-        rng: &mut dyn RngCore,
-        out: &mut [CellId],
-    ) -> Result<(), PglpError> {
-        let result = self.base.perturb_batch_into(index, eps, locs, rng, out);
-        // Remap even the partially-written prefix of a failed batch: the
-        // trait contract leaves only positions at/after the failure
-        // unspecified, so the prefix must hold *remapped* cells. `get`
-        // guards the unspecified tail (arbitrary caller-provided ids).
-        for slot in out.iter_mut() {
-            if let Some(&r) = self.remap.get(slot.index()) {
-                *slot = r;
-            }
-        }
-        result
-    }
-
-    /// The base mechanism's handle wrapped in the remap table — shared-cache
-    /// entries stay keyed by the base's unique name.
+    /// The base mechanism's handle wrapped in the remap table. Crucially
+    /// this **never caches under this wrapper's non-unique `name()`**: the
+    /// base resolves under its own cache keys, so two wrappers over
+    /// different bases can share one [`PolicyIndex`] without colliding in
+    /// the distribution cache.
     fn sampler<'a>(
         &'a self,
         index: &'a PolicyIndex,

@@ -13,10 +13,10 @@
 //! **single-flight**: concurrent misses on one key build its value once.
 
 use panda_check::ordered::{OrderedMutex, Rank};
-use panda_obs::Counter;
 // panda-check: allow(unordered_iter): key->slot lookup only; recency order lives in the slab list
 use std::collections::HashMap;
 use std::hash::Hash;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Sentinel for "no slot".
@@ -47,24 +47,31 @@ impl CacheStats {
     }
 }
 
-/// The live counter handles behind [`CacheStats`]: cloneable, so a metrics
-/// registry can adopt them for scraping while the cache keeps recording.
+/// The live counts behind [`CacheStats`]: plain atomics the cache bumps
+/// itself, so they count with telemetry compiled out too, and shared so a
+/// metrics registry can read them (`Counter::reading`) while the cache
+/// keeps recording.
 #[derive(Debug, Default)]
 pub(crate) struct CacheCounters {
-    pub(crate) hits: Counter,
-    pub(crate) misses: Counter,
-    pub(crate) evictions: Counter,
+    pub(crate) hits: Arc<AtomicU64>,
+    pub(crate) misses: Arc<AtomicU64>,
+    pub(crate) evictions: Arc<AtomicU64>,
 }
 
 impl CacheCounters {
     /// The point-in-time POD view.
     fn snapshot(&self) -> CacheStats {
         CacheStats {
-            hits: self.hits.get(),
-            misses: self.misses.get(),
-            evictions: self.evictions.get(),
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            evictions: self.evictions.load(Ordering::Relaxed),
         }
     }
+}
+
+/// Adds one to a diagnostic count (relaxed: counts order nothing).
+pub(crate) fn bump(count: &AtomicU64) {
+    count.fetch_add(1, Ordering::Relaxed);
 }
 
 #[derive(Debug)]
@@ -166,10 +173,10 @@ impl<K: Eq + Hash + Clone, V: Clone> WeightedLru<K, V> {
     /// Looks up `key`, promoting it to most-recently-used on a hit.
     pub(crate) fn get(&mut self, key: &K) -> Option<V> {
         let Some(&slot) = self.map.get(key) else {
-            self.stats.misses.inc();
+            bump(&self.stats.misses);
             return None;
         };
-        self.stats.hits.inc();
+        bump(&self.stats.hits);
         if self.head != slot {
             self.unlink(slot);
             self.push_front(slot);
@@ -186,7 +193,7 @@ impl<K: Eq + Hash + Clone, V: Clone> WeightedLru<K, V> {
             self.map.remove(&self.slots[victim].key);
             self.weight -= self.slots[victim].weight;
             self.free.push(victim);
-            self.stats.evictions.inc();
+            bump(&self.stats.evictions);
         }
     }
 
@@ -277,7 +284,7 @@ impl<K: Eq + Hash + Clone, V: Clone> SharedLru<K, V> {
         let slot = {
             let mut state = self.state.lock();
             if let Some(slot) = state.building.get(&key).cloned() {
-                state.lru.counters().hits.inc();
+                bump(&state.lru.counters().hits);
                 drop(state);
                 // Parks until the builder is done (or builds, if it got here
                 // first: either way the slot runs exactly one `build`).
@@ -308,7 +315,7 @@ impl<K: Eq + Hash + Clone, V: Clone> SharedLru<K, V> {
 mod tests {
     use super::*;
     use panda_check::ordered::rank;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::AtomicUsize;
 
     #[test]
     fn concurrent_misses_on_one_key_build_once() {

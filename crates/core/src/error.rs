@@ -20,10 +20,6 @@ pub enum PglpError {
     EmptyLocationSet,
     /// Grid dimensions of two artefacts that must share a domain disagree.
     DomainMismatch,
-    /// The named mechanism has neither a `Mechanism::sampler` override nor
-    /// a closed-form output distribution, so no resolved draw handle can be
-    /// built — release per report instead.
-    SamplerUnsupported(&'static str),
 }
 
 impl std::fmt::Display for PglpError {
@@ -44,9 +40,6 @@ impl std::fmt::Display for PglpError {
             ),
             PglpError::EmptyLocationSet => write!(f, "location set must be non-empty"),
             PglpError::DomainMismatch => write!(f, "grid domains do not match"),
-            PglpError::SamplerUnsupported(mech) => {
-                write!(f, "mechanism {mech} has no resolvable cell sampler")
-            }
         }
     }
 }

@@ -30,7 +30,7 @@
 //! what the concurrent lanes of [`crate::release::ParallelReleaser`] rely
 //! on.
 
-use crate::cache::{CacheStats, SharedLru};
+use crate::cache::{bump, CacheStats, SharedLru};
 use crate::mech::pim::PreparedHull;
 use crate::policy::LocationPolicyGraph;
 use panda_check::ordered::{rank, OrderedRwLock};
@@ -38,6 +38,7 @@ use panda_geo::CellId;
 use panda_obs::{Counter, Registry};
 use rand::Rng;
 use rand::RngCore;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Cache key: mechanism identity × ε (by bit pattern) × true location.
@@ -346,8 +347,9 @@ pub struct PolicyIndex {
     /// mutex acquisitions (a cold miss re-acquires the lock briefly to
     /// insert, still counted as the one touch its lookup was). The release
     /// engine's per-lane sampler memos keep this at one touch per distinct
-    /// `(mechanism, ε, cell)` per lane; tests assert it.
-    dist_touches: Counter,
+    /// `(mechanism, ε, cell)` per lane; tests assert it. A plain atomic,
+    /// so it counts with telemetry compiled out too.
+    dist_touches: Arc<AtomicU64>,
     /// `calibrations[component]`: `None` = not yet computed,
     /// `Some(None)` = singleton component (exact release),
     /// `Some(Some(len))` = longest policy edge in the component.
@@ -379,7 +381,7 @@ impl PolicyIndex {
                 rank::INDEX_RINGS,
                 max_cached_entries.saturating_mul(Self::RING_BYTES_PER_ENTRY),
             ),
-            dist_touches: Counter::new(),
+            dist_touches: Arc::default(),
             calibrations: OrderedRwLock::new(rank::INDEX_CALIBRATIONS, vec![None; n_components]),
             pim_hulls: [
                 OrderedRwLock::new(rank::INDEX_PIM_HULLS, vec![None; n_components]),
@@ -433,7 +435,7 @@ impl PolicyIndex {
         cell: CellId,
         build: impl FnOnce(&LocationPolicyGraph) -> Vec<(CellId, f64)>,
     ) -> Arc<SamplingTable> {
-        self.dist_touches.inc();
+        bump(&self.dist_touches);
         let key = DistKey {
             mech,
             eps_bits: eps.to_bits(),
@@ -452,7 +454,7 @@ impl PolicyIndex {
     /// shares one build. Concurrent misses on one cell build once. Counts
     /// as one touch, like [`PolicyIndex::distribution`].
     pub fn distance_row(&self, cell: CellId) -> Arc<DistanceRings> {
-        self.dist_touches.inc();
+        bump(&self.dist_touches);
         self.rings.get_or_build(
             cell,
             || Arc::new(DistanceRings::build(&self.policy, cell)),
@@ -505,7 +507,7 @@ impl PolicyIndex {
     /// bound it by `lanes × distinct cells` per flush, where the per-report
     /// path paid one touch per report.
     pub fn distribution_cache_touches(&self) -> u64 {
-        self.dist_touches.get()
+        self.dist_touches.load(Ordering::Relaxed)
     }
 
     /// Adopts the index's live cache counters into `registry` under
@@ -513,18 +515,21 @@ impl PolicyIndex {
     /// switch re-points the scrape plane at the new index's handles). The
     /// ring cache keeps the `row_cache` names of the row cache it replaced.
     pub fn register_metrics(&self, registry: &Registry) {
-        registry.register_counter("panda_index_distribution_touches_total", &self.dist_touches);
+        let adopt = |name: &str, count: &Arc<AtomicU64>| {
+            registry.register_counter(name, &Counter::reading(Arc::clone(count)));
+        };
+        adopt("panda_index_distribution_touches_total", &self.dist_touches);
         self.distributions.read(|lru| {
             let c = lru.counters();
-            registry.register_counter("panda_index_dist_cache_hits_total", &c.hits);
-            registry.register_counter("panda_index_dist_cache_misses_total", &c.misses);
-            registry.register_counter("panda_index_dist_cache_evictions_total", &c.evictions);
+            adopt("panda_index_dist_cache_hits_total", &c.hits);
+            adopt("panda_index_dist_cache_misses_total", &c.misses);
+            adopt("panda_index_dist_cache_evictions_total", &c.evictions);
         });
         self.rings.read(|lru| {
             let c = lru.counters();
-            registry.register_counter("panda_index_row_cache_hits_total", &c.hits);
-            registry.register_counter("panda_index_row_cache_misses_total", &c.misses);
-            registry.register_counter("panda_index_row_cache_evictions_total", &c.evictions);
+            adopt("panda_index_row_cache_hits_total", &c.hits);
+            adopt("panda_index_row_cache_misses_total", &c.misses);
+            adopt("panda_index_row_cache_evictions_total", &c.evictions);
         });
     }
 

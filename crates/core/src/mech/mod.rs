@@ -20,6 +20,14 @@
 //!
 //! All mechanisms release *grid cells*; isolated policy nodes are released
 //! exactly (Lemma 2.1's unconstrained case).
+//!
+//! Every mechanism has two faces: [`Mechanism::perturb`], its unindexed
+//! definition, and [`Mechanism::sampler`], the one release primitive — a
+//! [`CellSampler`] resolved once per `(ε, cell)` against a [`PolicyIndex`]
+//! and drawn per report. Batch, bulk and streaming releases all draw
+//! through sampler handles, and a handle draw consumes the RNG sequence of
+//! `perturb` on the same inputs, so `perturb` is the reference every
+//! release path is tested against.
 
 mod euclidean_exponential;
 mod graph_exponential;
@@ -38,12 +46,11 @@ pub use planar_laplace::PlanarLaplace;
 pub use sampler::{snap_to_cells, CellSampler, SamplerMemo};
 
 use crate::error::{check_epsilon, PglpError};
-use crate::index::{PolicyIndex, SamplingTable};
+use crate::index::PolicyIndex;
 use crate::policy::LocationPolicyGraph;
 use panda_geo::CellId;
 use rand::Rng;
 use rand::RngCore;
-use std::sync::Arc;
 
 /// A randomized location-release mechanism `A : S → S` (Def. 2.4).
 ///
@@ -88,13 +95,12 @@ pub trait Mechanism {
     /// whole trajectory window), amortising all policy-graph work through
     /// the [`PolicyIndex`].
     ///
-    /// The default allocates the output and delegates to
-    /// [`Mechanism::perturb_batch_into`] — override *that* method, not this
-    /// one, so both the allocating and the in-place path share one sampling
-    /// sequence.
-    ///
-    /// Outputs are positionally aligned with `locs`. Distributionally
-    /// identical to calling [`Mechanism::perturb`] in a loop.
+    /// Resolves one [`CellSampler`] per **distinct** cell (batch-local
+    /// [`SamplerMemo`] — one shared-cache touch per distinct `(ε, cell)`
+    /// pair) and draws per report: O(1)–O(log k) per report after each
+    /// cell's first occurrence. Outputs are positionally aligned with
+    /// `locs`, and the draws consume the RNG sequence of calling
+    /// [`Mechanism::perturb`] in a loop (see [`Mechanism::sampler`]).
     ///
     /// # Errors
     ///
@@ -107,152 +113,44 @@ pub trait Mechanism {
         locs: &[CellId],
         rng: &mut dyn RngCore,
     ) -> Result<Vec<CellId>, PglpError> {
-        let mut out = vec![CellId(0); locs.len()];
-        self.perturb_batch_into(index, eps, locs, rng, &mut out)?;
-        Ok(out)
-    }
-
-    /// Like [`Mechanism::perturb_batch`], but writes the released cells into
-    /// a caller-provided slice with no intermediate allocation. The release
-    /// kernel calls it on single-report batches for mechanisms that skip
-    /// the sampler memo.
-    ///
-    /// Consumes exactly the same RNG sequence as [`Mechanism::perturb_batch`]
-    /// (which is implemented on top of this method), so for a fixed `rng`
-    /// state the two paths are byte-identical. On error `out` may be
-    /// partially written; positions at and after the failing location are
-    /// unspecified.
-    ///
-    /// The default resolves one [`CellSampler`] per **distinct** cell
-    /// (batch-local [`SamplerMemo`] — one shared-cache touch per distinct
-    /// `(ε, cell)` pair) and draws per report: O(1)–O(log k) per report
-    /// after each cell's first occurrence. Mechanisms customise the batch
-    /// path by overriding [`Mechanism::sampler`], not this method.
-    /// Mechanisms without sampler support fall back to
-    /// [`Mechanism::perturb`] per location, preserving their historical RNG
-    /// streams.
-    ///
-    /// # Panics
-    ///
-    /// When `out.len() != locs.len()` — a caller bug, not a data error.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`Mechanism::perturb`]; the first failing
-    /// location aborts the batch.
-    fn perturb_batch_into(
-        &self,
-        index: &PolicyIndex,
-        eps: f64,
-        locs: &[CellId],
-        rng: &mut dyn RngCore,
-        out: &mut [CellId],
-    ) -> Result<(), PglpError> {
-        check_out_len(locs, out);
         check_epsilon(eps)?;
-        // Streaming fast path: a single-report batch (the per-report
-        // reference path) resolves without the memo allocation.
-        if let [s] = *locs {
-            match self.sampler(index, eps, s) {
-                Ok(sampler) => out[0] = sampler.draw(rng),
-                Err(PglpError::SamplerUnsupported(_)) => {
-                    out[0] = self.perturb(index.policy(), eps, s, rng)?;
-                }
-                Err(e) => return Err(e),
-            }
-            return Ok(());
-        }
-        if !self.prefers_sampler_memo() {
-            // Resolution is declared trivially cheap: skip the memo's
-            // per-report map lookup (same draw sequence either way).
-            for (slot, &s) in out.iter_mut().zip(locs) {
-                *slot = self.perturb(index.policy(), eps, s, rng)?;
-            }
-            return Ok(());
-        }
         let mut memo = SamplerMemo::new();
-        for (slot, &s) in out.iter_mut().zip(locs) {
-            match memo.resolve(self, index, eps, s)? {
-                Some(sampler) => *slot = sampler.draw(rng),
-                // No sampler support: the pre-handle per-report path, same
-                // RNG stream as the historical default.
-                None => *slot = self.perturb(index.policy(), eps, s, rng)?,
-            }
-        }
-        Ok(())
-    }
-
-    /// Whether the release engine's lanes should route this mechanism's
-    /// reports through a per-lane memoised [`CellSampler`] (the default).
-    ///
-    /// The memo trades one map lookup per report for skipping all shared
-    /// cache traffic — a clear win whenever resolution touches a lock or
-    /// builds state. Mechanisms whose resolution is trivially cheap *and*
-    /// whose [`Mechanism::perturb_batch_into`] override is tighter than a
-    /// per-report map lookup (identity's memcpy, uniform's bare
-    /// `gen_range` loop) return `false`; lanes then release each report
-    /// through the batch override directly. Purely a cost hint: both
-    /// routes consume identical RNG sequences.
-    fn prefers_sampler_memo(&self) -> bool {
-        true
+        locs.iter()
+            .map(|&s| Ok(memo.handle(self, index, eps, s)?.draw(rng)))
+            .collect()
     }
 
     /// Resolves a [`CellSampler`] — a cheaply-clonable draw handle carrying
     /// everything a release for `(ε, cell)` needs (compiled sampling table
-    /// `Arc`, calibration scale plus component slice, prepared PIM hull) —
-    /// so callers touch the shared [`PolicyIndex`] caches **once per
-    /// distinct cell** and then draw lock-free per report.
+    /// or distance rings `Arc`, calibration scale plus component slice,
+    /// prepared PIM hull) — so callers touch the shared [`PolicyIndex`]
+    /// caches **once per distinct cell** and then draw lock-free per
+    /// report. Every release path in the workspace draws through this
+    /// handle: [`Mechanism::perturb_batch`], the bulk release kernel and
+    /// the ingest pipeline.
     ///
+    /// Resolution consumes no randomness, and for every in-tree mechanism
     /// [`CellSampler::draw`] consumes exactly the RNG sequence of
-    /// [`Mechanism::perturb_batch_into`] on a single-report batch: the
-    /// streaming engine relies on this to keep per-lane memoised release
-    /// byte-identical to per-report release.
-    ///
-    /// The default compiles the mechanism's closed-form
-    /// [`Mechanism::output_distribution`] into an **uncached** table (never
-    /// keyed into the shared cache, where a non-unique [`Mechanism::name`]
-    /// could collide). Mechanisms with per-policy state override this to
-    /// serve handles from the index's caches.
-    ///
-    /// **Stream note for external implementors:** because the batch and
-    /// streaming engines release through this handle, a mechanism that
-    /// provides `output_distribution` but overrides neither this method nor
-    /// [`Mechanism::perturb_batch_into`] gets table-sampled batch draws —
-    /// distributionally identical to, but a *different RNG sequence* than,
-    /// calling [`Mechanism::perturb`] in a loop (and the table is rebuilt
-    /// per resolution). Override `sampler` to control both the stream and
-    /// the cost; mechanisms with no closed form keep their historical
-    /// per-`perturb` streams.
+    /// [`Mechanism::perturb`] on the same inputs, so every release path is
+    /// byte-identical to releasing each report alone through the
+    /// mechanism's definition. The one exception is
+    /// [`EuclideanExponential`] over a component of at least
+    /// [`ALIAS_THRESHOLD`](crate::SamplingTable::ALIAS_THRESHOLD) cells,
+    /// whose table switches to an alias draw: same distribution, different
+    /// stream. A mechanism with no cheaper handle can return
+    /// [`CellSampler::table`] over its closed-form
+    /// [`Mechanism::output_distribution`] on the same terms.
     ///
     /// # Errors
     ///
     /// [`PglpError::InvalidEpsilon`] / [`PglpError::LocationOutOfDomain`]
-    /// on invalid inputs; [`PglpError::SamplerUnsupported`] when the
-    /// mechanism has no closed form and no override (callers should then
-    /// release per report via [`Mechanism::perturb`]).
+    /// on invalid inputs.
     fn sampler<'a>(
         &'a self,
         index: &'a PolicyIndex,
         eps: f64,
         cell: CellId,
-    ) -> Result<CellSampler<'a>, PglpError> {
-        validate(index.policy(), eps, cell)?;
-        match self.output_distribution(index.policy(), eps, cell) {
-            Some(dist) if !dist.is_empty() => Ok(CellSampler::table(Arc::new(
-                SamplingTable::from_weights(dist),
-            ))),
-            _ => Err(PglpError::SamplerUnsupported(self.name())),
-        }
-    }
-}
-
-/// Shared length check for [`Mechanism::perturb_batch_into`] overrides.
-pub(crate) fn check_out_len(locs: &[CellId], out: &[CellId]) {
-    assert_eq!(
-        locs.len(),
-        out.len(),
-        "perturb_batch_into: output slice length must match input"
-    );
+    ) -> Result<CellSampler<'a>, PglpError>;
 }
 
 /// Shared input validation for all mechanisms.
@@ -305,32 +203,6 @@ impl Mechanism for IdentityMechanism {
         validate(index.policy(), eps, cell)?;
         // Exact release; like `perturb`, draws consume no randomness.
         Ok(CellSampler::exact(cell))
-    }
-
-    /// Resolution is free here (see [`Mechanism::prefers_sampler_memo`]).
-    fn prefers_sampler_memo(&self) -> bool {
-        false
-    }
-
-    /// Resolution is free here, so the memoised default would only add a
-    /// per-report map lookup to what is a bounds check plus a memcpy.
-    /// Stream-equivalent to the default: no randomness is consumed either
-    /// way.
-    fn perturb_batch_into(
-        &self,
-        index: &PolicyIndex,
-        eps: f64,
-        locs: &[CellId],
-        _rng: &mut dyn RngCore,
-        out: &mut [CellId],
-    ) -> Result<(), PglpError> {
-        check_out_len(locs, out);
-        check_epsilon(eps)?;
-        for &s in locs {
-            index.policy().check_cell(s)?;
-        }
-        out.copy_from_slice(locs);
-        Ok(())
     }
 }
 
@@ -385,35 +257,6 @@ impl Mechanism for UniformComponent {
         // Same rejection-sampled `gen_range` draw as `perturb`, from the
         // interned component slice.
         Ok(CellSampler::uniform(index.component_slice(cell)))
-    }
-
-    /// Resolution is a lock-free interned-slice lookup (see
-    /// [`Mechanism::prefers_sampler_memo`]).
-    fn prefers_sampler_memo(&self) -> bool {
-        false
-    }
-
-    /// Resolution is a lock-free interned-slice lookup, so the memoised
-    /// default would only add a per-report map lookup to a draw that is a
-    /// single `gen_range`. Byte-identical to the default: the per-report
-    /// draw sequence is the same `gen_range` either way.
-    fn perturb_batch_into(
-        &self,
-        index: &PolicyIndex,
-        eps: f64,
-        locs: &[CellId],
-        rng: &mut dyn RngCore,
-        out: &mut [CellId],
-    ) -> Result<(), PglpError> {
-        check_out_len(locs, out);
-        check_epsilon(eps)?;
-        let policy = index.policy();
-        for (slot, &s) in out.iter_mut().zip(locs) {
-            policy.check_cell(s)?;
-            let cells = index.component_slice(s);
-            *slot = cells[rng.gen_range(0..cells.len())];
-        }
-        Ok(())
     }
 }
 

@@ -14,13 +14,14 @@
 //!
 //! ## Determinism contract
 //!
-//! For every mechanism shipping a [`Mechanism::sampler`] override,
+//! Handle draw ≡ [`Mechanism::perturb`]: for every in-tree mechanism,
 //! [`CellSampler::draw`] consumes **exactly** the RNG sequence of
-//! [`Mechanism::perturb_batch_into`] on a single-report batch (which itself
-//! matches the pre-handle streaming path). Resolution consumes no
-//! randomness. A fixed `(seed, arrival order)` therefore lands the same
-//! database whether reports are released one by one or through per-lane
-//! memoised handles — CI enforces this byte-for-byte.
+//! `perturb` on the same inputs (the euclidean exponential only below
+//! [`SamplingTable::ALIAS_THRESHOLD`] support cells, where its table stops
+//! being a cumulative scan). Resolution consumes no randomness. A fixed
+//! `(seed, arrival order)` therefore lands the same database whether
+//! reports are released one by one or through per-lane memoised handles —
+//! CI enforces this byte-for-byte.
 
 use crate::error::PglpError;
 use crate::index::{DistanceRings, PolicyIndex, SamplingTable};
@@ -347,11 +348,6 @@ pub fn snap_to_cells(grid: &GridMap, cells: &[CellId], y: Point) -> CellId {
 /// [`PolicyIndex`] caches are touched **at most once per distinct cell per
 /// lane** no matter how many reports the lane releases.
 ///
-/// Mechanisms without sampler support (no override and no closed-form
-/// distribution) are detected on the first resolution and remembered:
-/// [`SamplerMemo::resolve`] then returns `Ok(None)` and callers take the
-/// per-report path instead.
-///
 /// A memo is scoped to **one `(mechanism, ε, policy index)` triple** — the
 /// map is keyed by cell alone, so reusing it across mechanisms, epsilons or
 /// indices would silently serve stale handles. Every release-engine lane
@@ -360,7 +356,6 @@ pub fn snap_to_cells(grid: &GridMap, cells: &[CellId], y: Point) -> CellId {
 pub struct SamplerMemo<'a> {
     // panda-check: allow(unordered_iter): keyed lookup only, never iterated
     samplers: HashMap<CellId, CellSampler<'a>>,
-    unsupported: bool,
     /// `(mechanism name, mechanism address, ε bits)` of the first
     /// resolution, to assert the one-triple-per-memo discipline in debug
     /// builds. The address disambiguates same-named wrappers (two
@@ -377,12 +372,6 @@ impl<'a> SamplerMemo<'a> {
         Self::default()
     }
 
-    /// Whether the mechanism turned out not to support samplers (sticky
-    /// after the first [`PglpError::SamplerUnsupported`] resolution).
-    pub fn unsupported(&self) -> bool {
-        self.unsupported
-    }
-
     /// Distinct cells resolved so far (diagnostics).
     pub fn len(&self) -> usize {
         self.samplers.len()
@@ -394,8 +383,9 @@ impl<'a> SamplerMemo<'a> {
     }
 
     /// The memoised handle for `cell`, resolving it through
-    /// [`Mechanism::sampler`] on first sight. `Ok(None)` means the
-    /// mechanism has no sampler support — release per report instead.
+    /// [`Mechanism::sampler`] on first sight. Never returns `Ok(None)`:
+    /// every mechanism has a sampler. The `Option` stays until the
+    /// benchmark package moves off this signature.
     ///
     /// # Panics
     ///
@@ -405,8 +395,7 @@ impl<'a> SamplerMemo<'a> {
     /// # Errors
     ///
     /// Propagates resolution failures ([`PglpError::InvalidEpsilon`],
-    /// [`PglpError::LocationOutOfDomain`]) other than
-    /// [`PglpError::SamplerUnsupported`].
+    /// [`PglpError::LocationOutOfDomain`]).
     pub fn resolve<M>(
         &mut self,
         mech: &'a M,
@@ -414,6 +403,20 @@ impl<'a> SamplerMemo<'a> {
         eps: f64,
         cell: CellId,
     ) -> Result<Option<&CellSampler<'a>>, PglpError>
+    where
+        M: Mechanism + ?Sized,
+    {
+        self.handle(mech, index, eps, cell).map(Some)
+    }
+
+    /// [`SamplerMemo::resolve`] without the `Option`.
+    pub(crate) fn handle<M>(
+        &mut self,
+        mech: &'a M,
+        index: &'a PolicyIndex,
+        eps: f64,
+        cell: CellId,
+    ) -> Result<&CellSampler<'a>, PglpError>
     where
         M: Mechanism + ?Sized,
     {
@@ -431,19 +434,9 @@ impl<'a> SamplerMemo<'a> {
                 "a SamplerMemo serves exactly one (mechanism, eps) pair"
             );
         }
-        if self.unsupported {
-            return Ok(None);
-        }
         match self.samplers.entry(cell) {
-            Entry::Occupied(e) => Ok(Some(e.into_mut())),
-            Entry::Vacant(v) => match mech.sampler(index, eps, cell) {
-                Ok(sampler) => Ok(Some(v.insert(sampler))),
-                Err(PglpError::SamplerUnsupported(_)) => {
-                    self.unsupported = true;
-                    Ok(None)
-                }
-                Err(e) => Err(e),
-            },
+            Entry::Occupied(e) => Ok(e.into_mut()),
+            Entry::Vacant(v) => Ok(v.insert(mech.sampler(index, eps, cell)?)),
         }
     }
 }
@@ -506,13 +499,11 @@ mod tests {
             bad_eps.resolve(&GraphExponential, &index, 0.0, CellId(0)),
             Err(PglpError::InvalidEpsilon(_))
         ));
-        assert!(!bad_eps.unsupported());
         let mut bad_cell = SamplerMemo::new();
         assert!(matches!(
             bad_cell.resolve(&GraphExponential, &index, 1.0, CellId(u32::MAX)),
             Err(PglpError::LocationOutOfDomain(_))
         ));
-        assert!(!bad_cell.unsupported());
     }
 
     #[test]
@@ -523,44 +514,6 @@ mod tests {
         let mut memo = SamplerMemo::new();
         let _ = memo.resolve(&GraphExponential, &index, 1.0, CellId(0));
         let _ = memo.resolve(&GraphExponential, &index, 2.0, CellId(1));
-    }
-
-    #[test]
-    fn memo_remembers_unsupported_mechanisms() {
-        /// No override, no closed form: the default must report
-        /// `SamplerUnsupported` and the memo must remember it.
-        struct Opaque;
-        impl Mechanism for Opaque {
-            fn name(&self) -> &'static str {
-                "opaque"
-            }
-            fn perturb(
-                &self,
-                policy: &LocationPolicyGraph,
-                eps: f64,
-                true_loc: CellId,
-                _rng: &mut dyn RngCore,
-            ) -> Result<CellId, PglpError> {
-                crate::mech::validate(policy, eps, true_loc)?;
-                Ok(true_loc)
-            }
-        }
-        let index = index();
-        assert!(matches!(
-            Opaque.sampler(&index, 1.0, CellId(0)),
-            Err(PglpError::SamplerUnsupported("opaque"))
-        ));
-        let mut memo = SamplerMemo::new();
-        assert!(memo
-            .resolve(&Opaque, &index, 1.0, CellId(0))
-            .unwrap()
-            .is_none());
-        assert!(memo.unsupported());
-        assert!(memo
-            .resolve(&Opaque, &index, 1.0, CellId(1))
-            .unwrap()
-            .is_none());
-        assert!(memo.is_empty(), "unsupported mechanisms memoise nothing");
     }
 
     #[test]

@@ -16,9 +16,9 @@
 //!   the same seed lands when fed the same `n` reports in order;
 //! * each lane owns one [`SamplerMemo`]: the shared [`PolicyIndex`] caches
 //!   are touched at most once per distinct cell per lane, and every report
-//!   then draws lock-free. Resolution consumes no randomness, so the output
-//!   equals releasing each report alone through
-//!   [`Mechanism::perturb_batch_into`];
+//!   then draws lock-free. Resolution consumes no randomness and a handle
+//!   draw consumes what [`Mechanism::perturb`] does, so the output equals
+//!   releasing each report alone through `perturb`;
 //! * a batch is cut into contiguous lanes fanned over the persistent
 //!   [`pool::ReleasePool`]. The **caller runs the last lane itself** and
 //!   the workers take the others, so one lane never leaves the caller
@@ -188,24 +188,9 @@ fn release_into(
 ) -> Option<Rejection> {
     let mut rejection = None;
     let mut memo = SamplerMemo::new();
-    let use_memo = mech.prefers_sampler_memo();
     for (i, (&(seq, cell), slot)) in reports.iter().zip(out.iter_mut()).enumerate() {
-        let mut rng = chunk_rng(seed, seq);
-        let released = if use_memo {
-            match memo.resolve(mech, index, eps, cell) {
-                Ok(Some(sampler)) => Ok(sampler.draw(&mut rng)),
-                // No sampler support: the mechanism's own single-report
-                // path, same RNG stream.
-                Ok(None) => release_one(mech, index, eps, cell, &mut rng),
-                Err(e) => Err(e),
-            }
-        } else {
-            // Resolution is declared trivially cheap: skip the memo lookup
-            // (identical draw streams).
-            release_one(mech, index, eps, cell, &mut rng)
-        };
-        match released {
-            Ok(z) => *slot = Some(z),
+        match memo.handle(mech, index, eps, cell) {
+            Ok(sampler) => *slot = Some(sampler.draw(&mut chunk_rng(seed, seq))),
             Err(e) => {
                 *slot = None;
                 rejection.get_or_insert((i, e));
@@ -213,19 +198,6 @@ fn release_into(
         }
     }
     rejection
-}
-
-/// One report through [`Mechanism::perturb_batch_into`].
-fn release_one(
-    mech: &(dyn Mechanism + Sync),
-    index: &PolicyIndex,
-    eps: f64,
-    cell: CellId,
-    rng: &mut StdRng,
-) -> Result<CellId, PglpError> {
-    let mut released = [CellId(0)];
-    mech.perturb_batch_into(index, eps, &[cell], rng, &mut released)?;
-    Ok(released[0])
 }
 
 /// The SplitMix64 finaliser: a bijective avalanche mix, shared by the
@@ -266,8 +238,8 @@ mod tests {
     }
 
     /// The determinism contract spelled out: report `i` of a bulk release
-    /// is released alone, through the mechanism's own batch path, from
-    /// `chunk_rng(seed, i)`.
+    /// is released alone, through the mechanism's definition
+    /// [`Mechanism::perturb`], from `chunk_rng(seed, i)`.
     fn per_report_reference(
         mech: &dyn Mechanism,
         index: &PolicyIndex,
@@ -278,10 +250,8 @@ mod tests {
         locs.iter()
             .enumerate()
             .map(|(i, &s)| {
-                let mut out = [CellId(0)];
-                mech.perturb_batch_into(index, eps, &[s], &mut chunk_rng(seed, i as u64), &mut out)
-                    .unwrap();
-                out[0]
+                mech.perturb(index.policy(), eps, s, &mut chunk_rng(seed, i as u64))
+                    .unwrap()
             })
             .collect()
     }

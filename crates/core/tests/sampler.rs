@@ -4,9 +4,13 @@
 //!    closed-form `output_distribution` (chi-square), for every mechanism
 //!    that has one.
 //! 2. **Stream equivalence** — a handle draw consumes exactly the RNG
-//!    sequence of `perturb_batch_into` on a single-report batch, so the
-//!    per-lane memoised streaming path is byte-identical to the per-report
-//!    path.
+//!    sequence of `Mechanism::perturb`, the unindexed definition of each
+//!    mechanism, so every release path (batch, bulk, streaming — all drawn
+//!    through memoised handles) is byte-identical to calling `perturb` per
+//!    report. `EuclideanExponential` is stream-equal only below
+//!    `SamplingTable::ALIAS_THRESHOLD` support cells: above it its table is
+//!    an alias table, which draws the same distribution from a different
+//!    stream. The fixtures here stay below it.
 //! 3. **Support** — draws never leave the policy component (property test
 //!    over random policies).
 
@@ -96,29 +100,34 @@ fn sampler_draws_match_output_distribution_chi_square() {
     }
 }
 
-/// The determinism keystone: for every mechanism, a handle draw consumes
-/// exactly the RNG sequence of `perturb_batch_into` on a single-report
-/// batch — resolved once, drawn many times, against a twin RNG.
+/// The determinism keystone: for every mechanism, on a partition and on
+/// a G1 policy, a handle draw consumes exactly the RNG sequence of
+/// `perturb` — resolved once, drawn many times, against a twin RNG.
 #[test]
-fn sampler_draws_bit_match_single_report_batch_path() {
-    let index = index();
-    for mech in all_mechanisms() {
-        for s in [CellId(0), CellId(14), CellId(35)] {
-            for eps in [0.3, 1.0, 4.0] {
-                let sampler = mech.sampler(&index, eps, s).unwrap();
-                let mut rng_handle = StdRng::seed_from_u64(99);
-                let mut rng_batch = StdRng::seed_from_u64(99);
-                for _ in 0..300 {
-                    let via_handle = sampler.draw(&mut rng_handle);
-                    let mut via_batch = [CellId(0)];
-                    mech.perturb_batch_into(&index, eps, &[s], &mut rng_batch, &mut via_batch)
-                        .unwrap();
-                    assert_eq!(
-                        via_handle,
-                        via_batch[0],
-                        "{} diverged at cell {s}, eps {eps}",
-                        mech.name()
-                    );
+fn sampler_draws_bit_match_perturb() {
+    let g1 = PolicyIndex::new(LocationPolicyGraph::g1_geo_indistinguishability(
+        GridMap::new(6, 6, 100.0),
+    ));
+    for index in [index(), g1] {
+        for mech in all_mechanisms() {
+            for s in [CellId(0), CellId(14), CellId(35)] {
+                for eps in [0.3, 1.0, 4.0] {
+                    let sampler = mech.sampler(&index, eps, s).unwrap();
+                    let mut rng_handle = StdRng::seed_from_u64(99);
+                    let mut rng_perturb = StdRng::seed_from_u64(99);
+                    for _ in 0..300 {
+                        let via_handle = sampler.draw(&mut rng_handle);
+                        let via_perturb = mech
+                            .perturb(index.policy(), eps, s, &mut rng_perturb)
+                            .unwrap();
+                        assert_eq!(
+                            via_handle,
+                            via_perturb,
+                            "{} diverged at cell {s}, eps {eps} under {}",
+                            mech.name(),
+                            index.policy().name()
+                        );
+                    }
                 }
             }
         }
@@ -173,26 +182,37 @@ fn sampler_resolution_validates_inputs() {
     }
 }
 
-/// A memoised multi-cell batch through `SamplerMemo` is byte-identical to
-/// `perturb_batch_into` on the same inputs (the release engine's lane path
-/// in miniature).
+/// A memoised multi-cell batch through `SamplerMemo` (the release
+/// engine's lane path in miniature) and `perturb_batch` are both
+/// byte-identical to `perturb` per report on the same RNG.
 #[test]
-fn memoised_batch_bit_matches_batch_path() {
+fn memoised_batch_bit_matches_perturb() {
     let index = index();
     let locs: Vec<CellId> = (0..2_048).map(|i| CellId(i % 9)).collect();
     for mech in all_mechanisms() {
         let mut rng_memo = StdRng::seed_from_u64(31);
         let mut rng_batch = StdRng::seed_from_u64(31);
-        let mut via_memo = vec![CellId(0); locs.len()];
+        let mut rng_perturb = StdRng::seed_from_u64(31);
         let mut memo = SamplerMemo::new();
-        for (slot, &s) in via_memo.iter_mut().zip(&locs) {
-            let sampler = memo.resolve(&*mech, &index, 1.0, s).unwrap().unwrap();
-            *slot = sampler.draw(&mut rng_memo);
-        }
+        let via_memo: Vec<CellId> = locs
+            .iter()
+            .map(|&s| {
+                let sampler = memo.resolve(&*mech, &index, 1.0, s).unwrap().unwrap();
+                sampler.draw(&mut rng_memo)
+            })
+            .collect();
         let via_batch = mech
             .perturb_batch(&index, 1.0, &locs, &mut rng_batch)
             .unwrap();
-        assert_eq!(via_memo, via_batch, "{}", mech.name());
+        let via_perturb: Vec<CellId> = locs
+            .iter()
+            .map(|&s| {
+                mech.perturb(index.policy(), 1.0, s, &mut rng_perturb)
+                    .unwrap()
+            })
+            .collect();
+        assert_eq!(via_memo, via_perturb, "{}", mech.name());
+        assert_eq!(via_batch, via_perturb, "{}", mech.name());
     }
 }
 

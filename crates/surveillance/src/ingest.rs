@@ -1173,9 +1173,9 @@ mod tests {
 
     /// The sampler-handle contract: the streaming path (per-lane memoised
     /// `SamplerMemo` release) must land a database bit-identical to
-    /// releasing every report through the per-report path (one
-    /// `perturb_batch_into` call per arrival-seq stream) — for every
-    /// mechanism, lane count in 1..16, and flush timing.
+    /// releasing every report through the mechanism's definition (one
+    /// `perturb` call per arrival-seq stream) — for every mechanism, lane
+    /// count in 1..16, and flush timing.
     #[test]
     fn sampler_streaming_matches_per_report_reference() {
         use panda_core::{
@@ -1200,15 +1200,11 @@ mod tests {
             let mut landed = Vec::new();
             for (seq, r) in trace.iter().enumerate() {
                 let mut rng = chunk_rng(seed, seq as u64);
-                let mut out = [CellId(0)];
-                if mech
-                    .perturb_batch_into(&index, eps, &[r.cell], &mut rng, &mut out)
-                    .is_ok()
-                {
+                if let Ok(cell) = mech.perturb(index.policy(), eps, r.cell, &mut rng) {
                     landed.push(LocationReport {
                         user: r.user,
                         epoch: r.epoch,
-                        cell: out[0],
+                        cell,
                         resend: r.resend,
                     });
                 }
@@ -1544,22 +1540,22 @@ mod tests {
                         (next_seq - 1, report, true)
                     }
                 };
-                let mut cell = [report.cell];
-                if !released {
+                let cell = if released {
+                    report.cell
+                } else {
                     GraphExponential
-                        .perturb_batch_into(
-                            &index,
+                        .perturb(
+                            index.policy(),
                             config.eps,
-                            &[report.cell],
+                            report.cell,
                             &mut chunk_rng(config.seed, seq),
-                            &mut cell,
                         )
-                        .unwrap();
-                }
+                        .unwrap()
+                };
                 model.receive(LocationReport {
                     user: report.user,
                     epoch: report.epoch,
-                    cell: cell[0],
+                    cell,
                     resend: report.resend,
                 });
             }

@@ -47,15 +47,17 @@ pub struct ShardNode {
 
 impl ShardNode {
     /// Spawns a node over `server`, releasing through `mech` under
-    /// `index`, with `release_threads` dedicated pool workers (the node
-    /// owns its lanes — one node's flush storm cannot starve another's).
+    /// `index` on `release_threads` lanes: the collector runs the last
+    /// lane of each flush itself, so the node's dedicated pool has
+    /// `release_threads − 1` workers (at least one). The node owns its
+    /// lanes — one node's flush storm cannot starve another's.
     pub fn spawn(
         server: Arc<Server>,
         index: Arc<PolicyIndex>,
         mech: Arc<dyn Mechanism + Send + Sync>,
         config: IngestConfig,
     ) -> Self {
-        let pool = Arc::new(ReleasePool::new(config.release_threads.max(1)));
+        let pool = Arc::new(ReleasePool::new(config.release_threads.saturating_sub(1)));
         let pipeline =
             IngestPipeline::spawn_on(Arc::clone(&server), index, mech, config, Arc::clone(&pool));
         ShardNode {

@@ -4,12 +4,16 @@
 //! tolerate malformed traffic, and accounting must fail closed.
 
 use panda::core::privacy::{audit_pglp_with, AuditOptions};
-use panda::core::{GraphExponential, LocationPolicyGraph, Mechanism, PglpError};
+use panda::core::{
+    CellSampler, GraphExponential, LocationPolicyGraph, Mechanism, PglpError, PolicyIndex,
+    SamplingTable,
+};
 use panda::geo::{CellId, GridMap};
 use panda::mobility::UserId;
 use panda::surveillance::{Client, ClientConfig, ConsentRule, LocationReport, Server};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
+use std::sync::Arc;
 
 /// A deliberately broken "mechanism": releases the truth with probability
 /// 0.9, otherwise a uniform component cell. Violates Def. 2.4 at small ε.
@@ -33,6 +37,26 @@ impl Mechanism for LeakyMechanism {
         } else {
             Ok(cells[(rng.next_u64() % cells.len() as u64) as usize])
         }
+    }
+
+    /// The same distribution as `perturb` as a table (a different RNG
+    /// stream; the audit samples `perturb`).
+    fn sampler<'a>(
+        &'a self,
+        index: &'a PolicyIndex,
+        _eps: f64,
+        true_loc: CellId,
+    ) -> Result<CellSampler<'a>, PglpError> {
+        index.policy().check_cell(true_loc)?;
+        let cells = index.component_slice(true_loc);
+        let spread = 0.1 / cells.len() as f64;
+        let dist = cells
+            .iter()
+            .map(|&c| (c, spread + if c == true_loc { 0.9 } else { 0.0 }))
+            .collect();
+        Ok(CellSampler::table(Arc::new(SamplingTable::from_weights(
+            dist,
+        ))))
     }
 }
 

@@ -61,8 +61,6 @@ pub mod rank {
     pub const ROUTER_BACKEND: Rank = Rank::new(200, "router.backend_link");
     /// The gateway listener's connection-handler registry.
     pub const LISTENER_REGISTRY: Rank = Rank::new(300, "listener.handler_registry");
-    /// The gateway's per-connection counter registry.
-    pub const GATEWAY_CONNECTIONS: Rank = Rank::new(310, "gateway.connections");
     /// The router-side re-send mailbox.
     pub const MAILBOX: Rank = Rank::new(400, "gateway.mailbox");
     /// One `Server` shard stripe's report store (stripes are never nested).

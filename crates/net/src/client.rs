@@ -17,7 +17,6 @@ use crate::wire::{
 };
 use panda_core::LocationPolicyGraph;
 use panda_mobility::UserId;
-use panda_obs::Counter;
 use panda_surveillance::ingest::{PendingReport, SequencedReport};
 use panda_surveillance::protocol::{LocationReport, PolicyAssignment, ResendRequest};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -109,7 +108,7 @@ pub struct GatewayClient {
     stream: TcpStream,
     retry: RetryPolicy,
     send_buf: Vec<u8>,
-    backpressure_retries: Counter,
+    backpressure_retries: u64,
 }
 
 impl GatewayClient {
@@ -125,7 +124,7 @@ impl GatewayClient {
             stream,
             retry: RetryPolicy::default(),
             send_buf: Vec::new(),
-            backpressure_retries: Counter::new(),
+            backpressure_retries: 0,
         })
     }
 
@@ -137,18 +136,16 @@ impl GatewayClient {
     }
 
     /// How many backpressure nacks this client has ridden out (observable
-    /// evidence that the retry path ran). A `panda-obs` counter read:
-    /// reads 0 when built with `--cfg panda_obs_off`.
+    /// evidence that the retry path ran).
     pub fn backpressure_retries(&self) -> u64 {
-        self.backpressure_retries.get()
+        self.backpressure_retries
     }
 
     /// Scrapes the node's metric exposition over the wire
     /// ([`Frame::StatsRequest`] → [`Frame::StatsReply`]). Served only on
-    /// privileged planes (a gateway with
-    /// [`crate::GatewayConfig::allow_wire_policy_switch`] — operator and
-    /// shard planes both — or a router's operator plane); a data-plane
-    /// listener refuses with [`ClientError::Rejected`].
+    /// privileged planes (a gateway on [`crate::Plane::Operator`] or
+    /// [`crate::Plane::Shard`], or a router's operator plane); a
+    /// data-plane listener refuses with [`ClientError::Rejected`].
     ///
     /// # Errors
     ///
@@ -179,23 +176,22 @@ impl GatewayClient {
         }
     }
 
-    /// Submits one report, riding out backpressure per the retry policy.
-    ///
-    /// # Errors
-    ///
-    /// [`ClientError::Saturated`] when the retry budget runs out; the
-    /// transport/protocol variants otherwise.
-    pub fn submit(&mut self, report: PendingReport) -> Result<(), ClientError> {
+    /// Sends `frame` until it is acked, riding out backpressure nacks
+    /// per the retry policy. The frame is encoded once; each retry
+    /// resends the same bytes.
+    fn send_with_retry(&mut self, frame: &Frame) -> Result<(), ClientError> {
+        self.send_buf.clear();
+        encode_frame(frame, &mut self.send_buf);
         let mut attempts = 0u32;
         loop {
-            match self.round_trip(&Frame::Submit(report))? {
+            match self.exchange()? {
                 Frame::Ack { .. } => return Ok(()),
                 Frame::Nack {
                     reason: NackReason::Backpressure,
                     ..
                 } => {
                     attempts += 1;
-                    self.backpressure_retries.inc();
+                    self.backpressure_retries += 1;
                     if attempts >= self.retry.max_attempts {
                         return Err(ClientError::Saturated);
                     }
@@ -205,6 +201,16 @@ impl GatewayClient {
                 _ => return Err(ClientError::UnexpectedReply),
             }
         }
+    }
+
+    /// Submits one report, riding out backpressure per the retry policy.
+    ///
+    /// # Errors
+    ///
+    /// [`ClientError::Saturated`] when the retry budget runs out; the
+    /// transport/protocol variants otherwise.
+    pub fn submit(&mut self, report: PendingReport) -> Result<(), ClientError> {
+        self.send_with_retry(&Frame::Submit(report))
     }
 
     /// Submits a slice in order, chunked at [`MAX_REPORTS_PER_FRAME`] per
@@ -250,7 +256,7 @@ impl GatewayClient {
                         return Err(ClientError::UnexpectedReply);
                     }
                     sent += accepted as usize;
-                    self.backpressure_retries.inc();
+                    self.backpressure_retries += 1;
                     if accepted > 0 {
                         // Progress: the queue is draining; reset the budget.
                         attempts = 0;
@@ -318,25 +324,7 @@ impl GatewayClient {
     /// [`ClientError::Saturated`] when the retry budget runs out; the
     /// transport/protocol variants otherwise.
     pub fn send_report(&mut self, report: LocationReport) -> Result<(), ClientError> {
-        let mut attempts = 0u32;
-        loop {
-            match self.round_trip(&Frame::Report(report))? {
-                Frame::Ack { .. } => return Ok(()),
-                Frame::Nack {
-                    reason: NackReason::Backpressure,
-                    ..
-                } => {
-                    attempts += 1;
-                    self.backpressure_retries.inc();
-                    if attempts >= self.retry.max_attempts {
-                        return Err(ClientError::Saturated);
-                    }
-                    std::thread::sleep(self.retry.backoff);
-                }
-                Frame::Nack { reason, .. } => return Err(nack_error(reason)),
-                _ => return Err(ClientError::UnexpectedReply),
-            }
-        }
+        self.send_with_retry(&Frame::Report(report))
     }
 
     /// Polls the server for `user`'s oldest pending server-initiated
@@ -387,34 +375,17 @@ impl GatewayClient {
     }
 
     /// Applies `policy` to every report this connection submits afterwards
-    /// (in-band, so the boundary in the landed stream is exact).
+    /// (in-band, so the boundary in the landed stream is exact). The
+    /// gateway never parks on the queue, so a switch into a full queue
+    /// nacks; it is ridden out like a submission.
     ///
     /// # Errors
     ///
-    /// The transport/protocol variants; [`ClientError::Closed`] when the
-    /// pipeline has shut down.
+    /// [`ClientError::Saturated`] when the retry budget runs out; the
+    /// transport/protocol variants otherwise; [`ClientError::Closed`] when
+    /// the pipeline has shut down.
     pub fn switch_policy(&mut self, policy: &LocationPolicyGraph) -> Result<(), ClientError> {
-        let mut attempts = 0u32;
-        loop {
-            match self.round_trip(&Frame::SwitchPolicy(policy.clone()))? {
-                Frame::Ack { .. } => return Ok(()),
-                // The gateway never parks on the queue, so a switch into a
-                // full queue nacks; ride it out like a submission.
-                Frame::Nack {
-                    reason: NackReason::Backpressure,
-                    ..
-                } => {
-                    attempts += 1;
-                    self.backpressure_retries.inc();
-                    if attempts >= self.retry.max_attempts {
-                        return Err(ClientError::Saturated);
-                    }
-                    std::thread::sleep(self.retry.backoff);
-                }
-                Frame::Nack { reason, .. } => return Err(nack_error(reason)),
-                _ => return Err(ClientError::UnexpectedReply),
-            }
-        }
+        self.send_with_retry(&Frame::SwitchPolicy(policy.clone()))
     }
 
     /// Clean end of session: tells the gateway, waits for the ack, closes.

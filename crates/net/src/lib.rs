@@ -9,6 +9,10 @@
 //!   frames ([`Frame`]), with typed [`DecodeError`]s (hostile bytes are a
 //!   parse error, never a panic) and an incremental [`FrameDecoder`] for
 //!   byte streams;
+//! * `listener` — the one front end behind both server tiers: sockets,
+//!   the per-listener [`Plane`] privilege check, the mailbox frames,
+//!   scrapes, clean shutdown, the Ack/Nack encoding and the counters
+//!   both tiers keep;
 //! * [`gateway`] — [`IngestGateway`], a threaded TCP front end that
 //!   accepts many concurrent clients, decodes frames, feeds
 //!   [`panda_surveillance::ingest::IngestHandle`], and answers every
@@ -23,7 +27,7 @@
 //!   topology: it serves the same client-facing protocol, splits
 //!   submissions by `panda_surveillance::shard_of`, stamps each report
 //!   with a cluster-wide arrival sequence number, and fans sub-batches to
-//!   per-shard downstream nodes (in-process or remote gateways);
+//!   per-shard nodes behind shard-plane gateways;
 //! * [`mailbox`] — [`Mailbox`], the per-user FIFO that turns the paper's
 //!   server-initiated pushes (policy assignments, re-send requests) into
 //!   client-polled fetches over the client-initiated transport.
@@ -34,7 +38,9 @@
 //! plane (an operator/shard gateway, a router's operator listener) answers
 //! with [`Frame::StatsReply`] carrying the node's `panda-obs` metric
 //! exposition — frame counters, per-stage latency histograms, queue
-//! depths — merged across the gateway and its pipeline.
+//! depths — merged across the gateway and its pipeline. The counts in
+//! [`GatewayStats`] and [`RouterStats`] are plain cells the registry reads,
+//! so they keep counting under `--cfg panda_obs_off`.
 //! [`GatewayClient::stats`] is the client side;
 //! [`IngestGateway::metrics_dump`] / [`ShardRouter::metrics_dump`] the
 //! in-process equivalents. Telemetry reads the clock only through
@@ -68,7 +74,8 @@ pub mod router;
 pub mod wire;
 
 pub use client::{ClientError, GatewayClient, RetryPolicy};
-pub use gateway::{ConnectionStats, GatewayConfig, GatewayStats, IngestGateway};
+pub use gateway::{GatewayConfig, GatewayStats, IngestGateway};
+pub use listener::Plane;
 pub use mailbox::{Mailbox, ServerMessage};
 pub use router::{RouterConfig, RouterStats, ShardBackend, ShardRouter};
 pub use wire::{DecodeError, Frame, FrameDecoder, NackReason};

@@ -1,26 +1,184 @@
-//! The shared TCP listener core behind [`crate::IngestGateway`] and
-//! [`crate::router::ShardRouter`].
+//! The shared TCP front end behind [`crate::IngestGateway`] and
+//! [`crate::ShardRouter`].
 //!
 //! Both tiers speak the same framed protocol with the same discipline —
 //! one acceptor thread, one handler thread per connection, incremental
 //! decode, tag-level privilege gating, batched replies, never blocking on
-//! a downstream queue — and differ only in *what a frame means*. That
-//! difference is the [`FrameService`] trait: the listener owns sockets,
-//! timeouts, the connection cap and shutdown; the service owns frame
-//! semantics and per-connection state.
+//! a downstream queue. The listener owns every frame both tiers treat
+//! alike:
+//!
+//! * the privilege check, one [`Plane`] per listener, applied at the frame
+//!   tag before any payload byte is parsed. A refused tag, undecodable
+//!   bytes and server → client tags all get [`Frame::Nack`]`{Malformed}`
+//!   and the connection is dropped;
+//! * [`Frame::Fetch`], [`Frame::Assign`] and [`Frame::Resend`] over the
+//!   listener's [`Mailbox`]: the operator pushes, the reporter polls, and a
+//!   fetch with nothing pending is answered `Ack{0}`;
+//! * [`Frame::StatsRequest`] (answered with the service's scrape text) and
+//!   [`Frame::Shutdown`] (acked, then the connection closes cleanly);
+//! * the Ack/Nack encoding of every outcome and the counters both tiers
+//!   keep ([`CoreStats`]).
+//!
+//! What differs is the [`FrameService`]: what a submission does, how a
+//! policy switch applies, and what a scrape returns.
 
 use crate::gateway::GatewayConfig;
-use crate::wire::{encode_frame, Frame, FrameDecoder, NackReason};
+use crate::mailbox::{Mailbox, ServerMessage};
+use crate::wire::{encode_frame, tag, Frame, FrameDecoder, NackReason};
 use panda_check::ordered::{rank, OrderedMutex};
+use panda_core::LocationPolicyGraph;
 use panda_obs::{clock, Counter, Histogram, Registry};
+use panda_surveillance::ingest::{PendingReport, SequencedReport};
+use panda_surveillance::protocol::LocationReport;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+/// Which frames a listener decodes: its trust level.
+///
+/// Every plane serves submissions ([`Frame::Submit`],
+/// [`Frame::SubmitBatch`], [`Frame::Report`]), [`Frame::Fetch`] polls and
+/// [`Frame::Shutdown`]. Anything a plane does not permit is refused at
+/// header cost with `Nack{Malformed}`, and the connection is dropped.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum Plane {
+    /// The open ingest port for untrusted reporters (the default).
+    #[default]
+    Data,
+    /// The trusted operator plane. It also serves [`Frame::SwitchPolicy`],
+    /// the [`Frame::Assign`] / [`Frame::Resend`] mailbox pushes and
+    /// [`Frame::StatsRequest`]. A policy switch changes the privacy
+    /// guarantee of every later report from every client, the pushes
+    /// impersonate the server half of the re-send protocol, and stats
+    /// expose queue depths and per-stage health; none of that is for
+    /// untrusted reporters. Bind it on loopback, behind an authenticated
+    /// sidecar, or on a firewalled admin port.
+    Operator,
+    /// A shard node's plane for its trusted routing tier: everything the
+    /// operator plane serves plus [`Frame::SubmitSequenced`]. The
+    /// upstream stamps key the per-report RNG streams, so a client that
+    /// chose them would choose its own noise.
+    Shard,
+}
+
+impl Plane {
+    /// Whether this plane decodes frames carrying `t`.
+    fn permits(self, t: u8) -> bool {
+        matches!(
+            t,
+            tag::SUBMIT | tag::SUBMIT_BATCH | tag::SHUTDOWN | tag::REPORT | tag::FETCH
+        ) || (self != Plane::Data
+            && matches!(
+                t,
+                tag::SWITCH_POLICY | tag::ASSIGN | tag::RESEND | tag::STATS_REQUEST
+            ))
+            || (self == Plane::Shard && t == tag::SUBMIT_SEQUENCED)
+    }
+}
+
+/// The reports of one submission frame, borrowed from it.
+pub(crate) enum Submission<'a> {
+    /// Planned reports to perturb ([`Frame::Submit`], [`Frame::SubmitBatch`]).
+    Pending(&'a [PendingReport]),
+    /// Already-perturbed client releases that land verbatim ([`Frame::Report`]).
+    Released(&'a [LocationReport]),
+    /// Upstream-stamped reports ([`Frame::SubmitSequenced`]).
+    Sequenced(&'a [SequencedReport]),
+}
+
+/// What a frame achieved: `Ok(accepted)`, or a refusal with its reason
+/// and the accepted prefix. The listener encodes it as `Ack`/`Nack`.
+pub(crate) type Outcome = Result<usize, (NackReason, usize)>;
+
+/// The part of frame handling that differs between tiers.
+///
+/// Both methods run on a connection's own thread and must never block on
+/// a downstream queue (use `try_*` submission paths).
+pub(crate) trait FrameService: Send + Sync + 'static {
+    /// Per-connection state, created at accept.
+    type Conn: Default + Send + 'static;
+
+    /// Offers one submission frame's reports downstream.
+    fn submit(&self, conn: &mut Self::Conn, reports: Submission<'_>) -> Outcome;
+
+    /// Applies a policy switch from the operator.
+    fn switch_policy(&self, policy: LocationPolicyGraph) -> Outcome;
+
+    /// The text exposition served to [`Frame::StatsRequest`].
+    fn metrics_text(&self) -> String;
+}
+
+/// The counters both tiers keep. Each is a plain cell, so it counts under
+/// `--cfg panda_obs_off` too; the registry reads the same cells.
+#[derive(Default)]
+pub(crate) struct CoreStats {
+    pub connections: Arc<AtomicU64>,
+    pub rejected_connections: Arc<AtomicU64>,
+    pub dropped_connections: Arc<AtomicU64>,
+    pub frames: Arc<AtomicU64>,
+    /// Reports accepted downstream by submission frames (and acked).
+    pub reports_accepted: Arc<AtomicU64>,
+    pub backpressure_nacks: Arc<AtomicU64>,
+    pub closed_nacks: Arc<AtomicU64>,
+    pub malformed_nacks: Arc<AtomicU64>,
+    /// Policy switches the service applied.
+    pub policy_switches: Arc<AtomicU64>,
+    /// Fetches answered with a pending [`ServerMessage`].
+    pub fetches_served: Arc<AtomicU64>,
+    /// End-to-end latency of handling one decoded frame (dispatch through
+    /// reply encode), in nanoseconds. Telemetry.
+    pub frame_ns: Histogram,
+}
+
+impl CoreStats {
+    /// Registers every instrument into `registry` as
+    /// `panda_<component>_<what>` (`component` is `gateway` or `router`).
+    /// `accepted` names [`CoreStats::reports_accepted`] for the tier.
+    pub fn register_into(&self, registry: &Registry, component: &str, accepted: &str) {
+        let cells = [
+            ("connections_total", &self.connections),
+            ("rejected_connections_total", &self.rejected_connections),
+            ("dropped_connections_total", &self.dropped_connections),
+            ("frames_total", &self.frames),
+            (accepted, &self.reports_accepted),
+            ("backpressure_nacks_total", &self.backpressure_nacks),
+            ("closed_nacks_total", &self.closed_nacks),
+            ("malformed_nacks_total", &self.malformed_nacks),
+            ("policy_switches_total", &self.policy_switches),
+            ("fetches_served_total", &self.fetches_served),
+        ];
+        for (what, cell) in cells {
+            registry.register_counter(
+                &format!("panda_{component}_{what}"),
+                &Counter::reading(Arc::clone(cell)),
+            );
+        }
+        registry.register_histogram(&format!("panda_{component}_frame_ns"), &self.frame_ns);
+    }
+}
+
+/// Adds `n` to a plain counter cell.
+pub(crate) fn bump(cell: &AtomicU64, n: u64) {
+    cell.fetch_add(n, Ordering::Relaxed);
+}
+
+/// Reads a plain counter cell.
+pub(crate) fn read(cell: &AtomicU64) -> u64 {
+    cell.load(Ordering::Relaxed)
+}
+
+/// What every connection of a listener shares: the tier's service, the
+/// counters and the mailbox. A router's two planes share one.
+pub(crate) struct Front<S> {
+    pub service: S,
+    pub core: CoreStats,
+    pub mailbox: Arc<Mailbox>,
+}
+
 /// What a frame asks the connection to do next.
-pub(crate) enum Disposition {
+enum Disposition {
     /// Keep serving.
     Continue,
     /// Close after flushing replies — a **clean** end (`Frame::Shutdown`).
@@ -30,85 +188,108 @@ pub(crate) enum Disposition {
     Drop,
 }
 
-/// Frame semantics plugged into a [`Listener`]: per-connection state,
-/// tag-level privilege, and what each decoded frame does.
-///
-/// `handle` runs on the connection's own thread and must never block on a
-/// downstream queue (use `try_*` submission paths); replies pushed into
-/// `replies` are written back in one batch per read burst.
-pub(crate) trait FrameService: Send + Sync + 'static {
-    /// Per-connection state, created at accept and returned at close.
-    type Conn: Send + 'static;
+impl<S: FrameService> Front<S> {
+    /// Applies one decoded frame and queues its reply onto `replies`.
+    fn handle(&self, conn: &mut S::Conn, frame: Frame, replies: &mut Vec<u8>) -> Disposition {
+        let outcome = match frame {
+            Frame::Submit(report) => self
+                .service
+                .submit(conn, Submission::Pending(std::slice::from_ref(&report))),
+            Frame::SubmitBatch(reports) => self.service.submit(conn, Submission::Pending(&reports)),
+            Frame::Report(report) => self
+                .service
+                .submit(conn, Submission::Released(std::slice::from_ref(&report))),
+            Frame::SubmitSequenced(reports) => {
+                self.service.submit(conn, Submission::Sequenced(&reports))
+            }
+            Frame::SwitchPolicy(policy) => {
+                let outcome = self.service.switch_policy(policy);
+                if outcome.is_ok() {
+                    bump(&self.core.policy_switches, 1);
+                }
+                outcome
+            }
+            Frame::Fetch { user } => {
+                let reply = match self.mailbox.fetch(user) {
+                    Some(msg) => {
+                        bump(&self.core.fetches_served, 1);
+                        msg.into_frame()
+                    }
+                    None => Frame::Ack { accepted: 0 },
+                };
+                encode_frame(&reply, replies);
+                return Disposition::Continue;
+            }
+            Frame::Assign(assignment) => {
+                self.mailbox
+                    .push(assignment.user, ServerMessage::Assign(assignment));
+                Ok(0)
+            }
+            Frame::Resend(request) => {
+                self.mailbox
+                    .push(request.user, ServerMessage::Resend(request));
+                Ok(0)
+            }
+            Frame::StatsRequest => {
+                encode_frame(&Frame::StatsReply(self.service.metrics_text()), replies);
+                return Disposition::Continue;
+            }
+            Frame::Shutdown => {
+                encode_frame(&Frame::Ack { accepted: 0 }, replies);
+                return Disposition::Close;
+            }
+            // No plane decodes server → client tags; refused like
+            // undecodable bytes should one ever get this far.
+            Frame::Ack { .. } | Frame::Nack { .. } | Frame::StatsReply(_) => {
+                Err((NackReason::Malformed, 0))
+            }
+        };
+        self.reply(outcome, replies)
+    }
 
-    /// Called once per accepted connection.
-    fn open(&self) -> Self::Conn;
-
-    /// Which frame tags this listener decodes at all — refused tags fail
-    /// at header cost, before the payload is parsed (or has arrived).
-    fn permits(&self, tag: u8) -> bool;
-
-    /// Applies one decoded frame; queues any reply bytes onto `replies`.
-    fn handle(&self, conn: &mut Self::Conn, frame: Frame, replies: &mut Vec<u8>) -> Disposition;
-
-    /// Called once when the connection ends. `dropped` is true for every
-    /// non-clean end: read/write error, idle timeout, undecodable bytes,
-    /// or a [`Disposition::Drop`] from `handle`.
-    fn closed(&self, conn: Self::Conn, dropped: bool);
-}
-
-/// Socket-level lifetime instruments every listener keeps, independent
-/// of its service's own accounting. The handles are `panda-obs` metrics
-/// so one set of cells backs both the POD `stats()` snapshots and the
-/// scrapeable registry.
-#[derive(Default)]
-pub(crate) struct CoreStats {
-    pub connections: Counter,
-    pub rejected_connections: Counter,
-    pub dropped_connections: Counter,
-    pub frames: Counter,
-    pub malformed_nacks: Counter,
-    /// End-to-end latency of handling one decoded frame (dispatch through
-    /// reply encode), in nanoseconds.
-    pub frame_ns: Histogram,
-}
-
-impl CoreStats {
-    /// Registers every instrument into `registry` under
-    /// `panda_<component>_…` names (`component` is `gateway` or `router`).
-    pub fn register_into(&self, registry: &Registry, component: &str) {
-        let name = |what: &str| format!("panda_{component}_{what}");
-        registry.register_counter(&name("connections_total"), &self.connections);
-        registry.register_counter(
-            &name("rejected_connections_total"),
-            &self.rejected_connections,
-        );
-        registry.register_counter(
-            &name("dropped_connections_total"),
-            &self.dropped_connections,
-        );
-        registry.register_counter(&name("frames_total"), &self.frames);
-        registry.register_counter(&name("malformed_nacks_total"), &self.malformed_nacks);
-        registry.register_histogram(&name("frame_ns"), &self.frame_ns);
+    /// Encodes `outcome` as `Ack`/`Nack` and counts it. A `Malformed`
+    /// refusal drops the connection.
+    fn reply(&self, outcome: Outcome, replies: &mut Vec<u8>) -> Disposition {
+        let core = &self.core;
+        let (Ok(accepted) | Err((_, accepted))) = outcome;
+        if accepted > 0 {
+            bump(&core.reports_accepted, accepted as u64);
+        }
+        let accepted = accepted as u32;
+        let (reply, disposition) = match outcome {
+            Ok(_) => (Frame::Ack { accepted }, Disposition::Continue),
+            Err((reason, _)) => {
+                let (cell, disposition) = match reason {
+                    NackReason::Backpressure => (&core.backpressure_nacks, Disposition::Continue),
+                    NackReason::Closed => (&core.closed_nacks, Disposition::Continue),
+                    NackReason::Malformed => (&core.malformed_nacks, Disposition::Drop),
+                };
+                bump(cell, 1);
+                (Frame::Nack { reason, accepted }, disposition)
+            }
+        };
+        encode_frame(&reply, replies);
+        disposition
     }
 }
 
 /// A running framed-protocol listener; dropping it shuts it down.
 pub(crate) struct Listener<S: FrameService> {
     addr: SocketAddr,
+    front: Arc<Front<S>>,
     stop: Arc<AtomicBool>,
     acceptor: Option<std::thread::JoinHandle<()>>,
     handlers: Arc<OrderedMutex<Vec<std::thread::JoinHandle<()>>>>,
-    _service: std::marker::PhantomData<S>,
 }
 
 impl<S: FrameService> Listener<S> {
     /// Binds on `addr` and starts accepting connections served by
-    /// `service`. `name` labels the acceptor/handler threads.
+    /// `front` on `config.plane`. `name` labels the acceptor/handler
+    /// threads.
     pub fn bind(
         addr: impl ToSocketAddrs,
-        service: Arc<S>,
+        front: Arc<Front<S>>,
         config: GatewayConfig,
-        core: Arc<CoreStats>,
         name: &'static str,
     ) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
@@ -120,25 +301,31 @@ impl<S: FrameService> Listener<S> {
         let stop = Arc::new(AtomicBool::new(false));
         let handlers = Arc::new(OrderedMutex::new(rank::LISTENER_REGISTRY, Vec::new()));
         let acceptor = {
-            let (stop, handlers) = (Arc::clone(&stop), Arc::clone(&handlers));
+            let (front, stop, handlers) =
+                (Arc::clone(&front), Arc::clone(&stop), Arc::clone(&handlers));
             std::thread::Builder::new()
                 .name(format!("{name}-accept"))
                 .spawn(move || {
-                    accept_loop(listener, service, config, stop, handlers, core, name);
+                    accept_loop(listener, front, config, stop, handlers, name);
                 })?
         };
         Ok(Listener {
             addr,
+            front,
             stop,
             acceptor: Some(acceptor),
             handlers,
-            _service: std::marker::PhantomData,
         })
     }
 
     /// The bound address (with the resolved port when bound on port 0).
     pub fn local_addr(&self) -> SocketAddr {
         self.addr
+    }
+
+    /// The service, counters and mailbox this listener serves.
+    pub fn front(&self) -> &Arc<Front<S>> {
+        &self.front
     }
 
     /// Graceful shutdown: stop accepting, drain every live connection
@@ -174,13 +361,13 @@ impl<S: FrameService> Drop for Listener<S> {
 
 fn accept_loop<S: FrameService>(
     listener: TcpListener,
-    service: Arc<S>,
+    front: Arc<Front<S>>,
     config: GatewayConfig,
     stop: Arc<AtomicBool>,
     handlers: Arc<OrderedMutex<Vec<std::thread::JoinHandle<()>>>>,
-    core: Arc<CoreStats>,
     name: &'static str,
 ) {
+    let core = &front.core;
     // The listener arrives non-blocking (set in `bind`, where a platform
     // refusal still propagates as an `io::Error`): the stop flag is
     // observed within one poll interval even under fd exhaustion, when a
@@ -229,33 +416,28 @@ fn accept_loop<S: FrameService>(
         // The connection cap: a thread + buffers per connection must not
         // be mintable without bound by whoever can reach the port.
         if live.len() >= config.max_connections.max(1) {
-            core.rejected_connections.inc();
+            bump(&core.rejected_connections, 1);
             *registry = live;
             drop(registry);
             drop(stream);
             continue;
         }
         let spawned = {
-            let (service, stop, core, config) = (
-                Arc::clone(&service),
-                Arc::clone(&stop),
-                Arc::clone(&core),
-                config.clone(),
-            );
+            let (front, stop, config) = (Arc::clone(&front), Arc::clone(&stop), config.clone());
             std::thread::Builder::new()
                 .name(format!("{name}-conn"))
-                .spawn(move || serve_connection(stream, &*service, &config, &stop, &core))
+                .spawn(move || serve_connection(stream, &front, &config, &stop))
         };
         match spawned {
             Ok(handler) => {
-                core.connections.inc();
+                bump(&core.connections, 1);
                 live.push(handler);
             }
             // Thread exhaustion is the same resource pressure as the
             // connection cap: refuse this connection (the stream moved
             // into the failed closure and is already gone), keep serving.
             Err(_) => {
-                core.rejected_connections.inc();
+                bump(&core.rejected_connections, 1);
             }
         }
         *registry = live;
@@ -264,17 +446,16 @@ fn accept_loop<S: FrameService>(
 
 fn serve_connection<S: FrameService>(
     mut stream: TcpStream,
-    service: &S,
+    front: &Front<S>,
     config: &GatewayConfig,
     stop: &AtomicBool,
-    core: &CoreStats,
 ) {
     // Per-frame acks on a stream of small frames need low latency;
     // timeouts keep both directions from wedging shutdown.
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(config.poll_interval));
     let _ = stream.set_write_timeout(Some(config.write_timeout));
-    let mut conn = service.open();
+    let mut conn = S::Conn::default();
     let mut decoder = FrameDecoder::new();
     let mut buf = vec![0u8; config.read_buf.max(1)];
     let mut replies = Vec::new();
@@ -325,12 +506,13 @@ fn serve_connection<S: FrameService>(
             // data-plane client cannot make the server build a policy
             // graph (or parse any other privileged/server-bound payload)
             // just to have it refused.
-            match decoder.next_frame_permitted(|t| service.permits(t)) {
+            match decoder.next_frame_permitted(|t| config.plane.permits(t)) {
                 Ok(Some(frame)) => {
-                    core.frames.inc();
-                    disposition = core
+                    bump(&front.core.frames, 1);
+                    disposition = front
+                        .core
                         .frame_ns
-                        .time(|| service.handle(&mut conn, frame, &mut replies));
+                        .time(|| front.handle(&mut conn, frame, &mut replies));
                     if !matches!(disposition, Disposition::Continue) {
                         break;
                     }
@@ -340,15 +522,7 @@ fn serve_connection<S: FrameService>(
                     // Framing is lost: refuse and drop the connection. The
                     // downstream tier never saw the bytes, so other
                     // clients are unaffected.
-                    core.malformed_nacks.inc();
-                    encode_frame(
-                        &Frame::Nack {
-                            reason: NackReason::Malformed,
-                            accepted: 0,
-                        },
-                        &mut replies,
-                    );
-                    disposition = Disposition::Drop;
+                    disposition = front.reply(Err((NackReason::Malformed, 0)), &mut replies);
                     break;
                 }
             }
@@ -376,8 +550,7 @@ fn serve_connection<S: FrameService>(
         }
     }
     if dropped {
-        core.dropped_connections.inc();
+        bump(&front.core.dropped_connections, 1);
     }
-    service.closed(conn, dropped);
     let _ = stream.shutdown(std::net::Shutdown::Both);
 }

@@ -1,5 +1,5 @@
 //! Multi-node loopback cluster tests: a [`ShardRouter`] in front of N
-//! shard nodes (local and remote backends) must be observationally
+//! shard nodes behind shard-plane gateways must be observationally
 //! identical to the single-process pipeline — byte-identical merged
 //! databases for the same arrival order, across flush timings, under
 //! mid-stream backpressure, with all-or-nothing policy broadcast and the
@@ -262,21 +262,11 @@ fn policy_broadcast_is_all_or_nothing_with_rollback() {
     let policy_a = LocationPolicyGraph::partition(grid.clone(), 4, 4);
     let policy_b = LocationPolicyGraph::isolated(grid.clone());
 
-    let pipelines: Vec<IngestPipeline> = (0..2)
-        .map(|_| {
-            IngestPipeline::spawn(
-                Arc::new(Server::new(grid.clone())),
-                index(),
-                Arc::new(GraphExponential),
-                IngestConfig::default(),
-            )
-        })
-        .collect();
-    let backends: Vec<ShardBackend> = pipelines
-        .iter()
-        .map(|p| ShardBackend::Local(p.handle()))
-        .collect();
-    let mut router = ShardRouter::bind("127.0.0.1:0", backends, RouterConfig::default()).unwrap();
+    let Cluster {
+        nodes,
+        gateways,
+        mut router,
+    } = spawn_cluster(2, IngestConfig::default());
     let operator_addr = router.bind_operator("127.0.0.1:0").unwrap();
     let mut operator = GatewayClient::connect(operator_addr).unwrap();
 
@@ -284,11 +274,12 @@ fn policy_broadcast_is_all_or_nothing_with_rollback() {
     operator.switch_policy(&policy_a).unwrap();
     assert_eq!(router.stats().policy_switches, 1);
 
-    // Shard 1 down: the broadcast must fail as a unit, and shard 0 — which
-    // took policy_b first — must be rolled back to policy_a.
-    let mut pipelines = pipelines.into_iter();
-    let survivor = pipelines.next().unwrap();
-    pipelines.next().unwrap().shutdown();
+    // Shard 1 down (its node shut down, so its gateway nacks `Closed`):
+    // the broadcast must fail as a unit, and shard 0 — which took
+    // policy_b first — must be rolled back to policy_a.
+    let mut nodes = nodes.into_iter();
+    let survivor = nodes.next().unwrap();
+    nodes.next().unwrap().shutdown();
     assert!(matches!(
         operator.switch_policy(&policy_b),
         Err(ClientError::Closed)
@@ -301,6 +292,9 @@ fn policy_broadcast_is_all_or_nothing_with_rollback() {
     assert_eq!(stats.policy_rollbacks, 1);
     operator.shutdown().unwrap();
     router.shutdown();
+    for gw in gateways {
+        gw.shutdown();
+    }
     // Shard 0 saw: policy_a, policy_b, then the rollback to policy_a.
     let survivor_stats = survivor.shutdown();
     assert_eq!(survivor_stats.policy_switches, 3);
@@ -311,6 +305,10 @@ fn policy_broadcast_is_all_or_nothing_with_rollback() {
 /// gateways each serve their node's merged exposition, and the router's
 /// data plane refuses the scrape.
 #[test]
+#[cfg_attr(
+    panda_obs_off,
+    ignore = "reads the fan-out batch-size histogram, which is telemetry"
+)]
 fn router_and_shard_planes_serve_stats() {
     let cluster = spawn_cluster(2, IngestConfig::default());
     let mut router = cluster.router;

@@ -291,44 +291,6 @@ fn resend_over_tcp_matches_in_process_budget_and_db() {
     );
 }
 
-/// The gateway's per-connection stats snapshot: accepted/nacked counters
-/// per live connection, pruned as connections churn.
-#[test]
-fn per_connection_stats_track_each_client() {
-    let (_server, pipeline, gateway) = spawn_stack(IngestConfig::default());
-    let addr = gateway.local_addr();
-    let mut a = GatewayClient::connect(addr).unwrap();
-    let mut b = GatewayClient::connect(addr).unwrap();
-    a.submit_batch(&trace(10, 1)).unwrap();
-    b.submit_batch(&trace(25, 2)).unwrap();
-    b.submit(trace(1, 3)[0]).unwrap();
-    let wait_until = |pred: &dyn Fn(&[panda_net::ConnectionStats]) -> bool| {
-        let t0 = std::time::Instant::now();
-        loop {
-            let stats = gateway.connection_stats();
-            if pred(&stats) {
-                return stats;
-            }
-            assert!(
-                t0.elapsed() < Duration::from_secs(10),
-                "connection stats never converged: {stats:?}"
-            );
-            std::thread::sleep(Duration::from_millis(2));
-        }
-    };
-    let stats = wait_until(&|s| {
-        let mut accepted: Vec<u64> = s.iter().map(|c| c.accepted).collect();
-        accepted.sort_unstable();
-        accepted == [10, 26]
-    });
-    assert!(stats.iter().all(|c| c.live && c.nacked == 0));
-    a.shutdown().unwrap();
-    wait_until(&|s| s.iter().filter(|c| c.live).count() == 1);
-    b.shutdown().unwrap();
-    gateway.shutdown();
-    pipeline.shutdown();
-}
-
 /// Backpressure surfaces on the wire: a queue bounded far below the batch
 /// size forces `Nack{Backpressure}` with a partial prefix, the client's
 /// retry loop rides it out, and every report still lands exactly once in
@@ -664,6 +626,10 @@ fn connection_cap_rejects_excess_clients() {
 /// gateway, pipeline, pool, and per-stripe server counters move — while
 /// the untrusted data plane refuses the same request.
 #[test]
+#[cfg_attr(
+    panda_obs_off,
+    ignore = "waits on panda_ingest_landed_reports_total, which is telemetry"
+)]
 fn stats_scrape_over_the_wire() {
     let (_server, index) = setup(16);
     let pipeline = IngestPipeline::spawn(

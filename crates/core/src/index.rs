@@ -245,38 +245,53 @@ impl SamplingTable {
 
 /// The component of one true cell `s`, grouped into rings by `d_G(s, ·)`.
 ///
-/// `cells` lists the component in (distance, member order) order; ring `r`
-/// is `cells[starts[r]..starts[r + 1]]`, every cell of it at distance
+/// The rings list the component in (distance, member order) order as
+/// offsets into its member slice ([`PolicyIndex::component_slice`]); ring
+/// `r` is positions `starts[r]..starts[r + 1]`, every cell of it at distance
 /// `dists[r]`. Only non-empty rings are stored, in increasing distance, so
-/// ring 0 is `[s]`. Rings are ε-independent: every ε reuses them.
+/// ring 0 holds only `s`. Rings are ε-independent: every ε reuses them.
 #[derive(Debug, PartialEq, Eq)]
 pub struct DistanceRings {
-    cells: Box<[CellId]>,
+    members: Members,
     starts: Box<[u32]>,
     dists: Box<[u32]>,
 }
 
+/// Member offsets: 2 B each for components of up to
+/// [`DistanceRings::NARROW_MEMBERS`] cells, 4 B beyond.
+#[derive(Debug, PartialEq, Eq)]
+enum Members {
+    Narrow(Box<[u16]>),
+    Wide(Box<[u32]>),
+}
+
 impl DistanceRings {
+    /// Largest component whose member offsets are stored as `u16`.
+    pub const NARROW_MEMBERS: usize = 1 << 16;
+
     /// The rings of `s`, from one distance row of its component (dense-row
     /// copy, hub-label join, or one BFS) and an O(n) counting sort.
     pub(crate) fn build(policy: &LocationPolicyGraph, s: CellId) -> Self {
         let mut row = Vec::new();
         if policy.component_row_u16(s, &mut row) {
-            Self::from_distances(policy.component_slice(s), &row)
+            Self::from_distances(&row)
         } else {
-            // Gigantic unindexed component: distances may exceed u16.
-            let (cells, dists): (Vec<CellId>, Vec<u32>) =
-                policy.component_distances(s).into_iter().unzip();
-            Self::from_distances(&cells, &dists)
+            // Gigantic unindexed component: distances may exceed u16. The
+            // pairs come sorted by cell id, i.e. in member order.
+            let dists: Vec<u32> = policy
+                .component_distances(s)
+                .into_iter()
+                .map(|(_, d)| d)
+                .collect();
+            Self::from_distances(&dists)
         }
     }
 
-    /// Groups `cells` by their distances `dist[i]` (a stable counting sort,
-    /// so each ring keeps the order of `cells`).
-    fn from_distances<D: Copy + Into<u32>>(cells: &[CellId], dist: &[D]) -> Self {
-        debug_assert_eq!(cells.len(), dist.len());
+    /// Groups the members of a component by their distances `dist[i]` (a
+    /// stable counting sort, so each ring keeps member order).
+    pub fn from_distances<D: Copy + Into<u32>>(dist: &[D]) -> Self {
         let max = dist.iter().map(|&d| d.into()).max().unwrap_or(0) as usize;
-        // `offset[d]` = cells at distance < d, then the write cursor of d.
+        // `offset[d]` = members at distance < d, then the write cursor of d.
         let mut offset = vec![0u32; max + 2];
         for &d in dist {
             offset[d.into() as usize + 1] += 1;
@@ -290,23 +305,33 @@ impl DistanceRings {
             }
             offset[d + 1] += offset[d];
         }
-        starts.push(cells.len() as u32);
-        let mut sorted = vec![CellId(0); cells.len()];
-        for (&c, &d) in cells.iter().zip(dist) {
+        starts.push(dist.len() as u32);
+        let mut sorted = vec![0u32; dist.len()];
+        for (i, &d) in dist.iter().enumerate() {
             let cursor = &mut offset[d.into() as usize];
-            sorted[*cursor as usize] = c;
+            sorted[*cursor as usize] = i as u32;
             *cursor += 1;
         }
+        let members = if dist.len() <= Self::NARROW_MEMBERS {
+            Members::Narrow(sorted.iter().map(|&i| i as u16).collect())
+        } else {
+            Members::Wide(sorted.into())
+        };
         DistanceRings {
-            cells: sorted.into(),
+            members,
             starts: starts.into(),
             dists: dists.into(),
         }
     }
 
-    /// The whole component, in (distance, member order) order.
-    pub fn cells(&self) -> &[CellId] {
-        &self.cells
+    /// The member-slice offset of the `i`-th cell in (distance, member
+    /// order) order.
+    #[inline]
+    pub fn member(&self, i: usize) -> usize {
+        match &self.members {
+            Members::Narrow(m) => usize::from(m[i]),
+            Members::Wide(m) => m[i] as usize,
+        }
     }
 
     /// Number of non-empty rings.
@@ -314,9 +339,10 @@ impl DistanceRings {
         self.dists.len()
     }
 
-    /// The cells of ring `r`, in member order.
-    pub fn ring(&self, r: usize) -> &[CellId] {
-        &self.cells[self.starts[r] as usize..self.starts[r + 1] as usize]
+    /// The positions of ring `r`: its cells are `member(i)` for `i` in the
+    /// range, in member order.
+    pub fn ring(&self, r: usize) -> std::ops::Range<usize> {
+        self.starts[r] as usize..self.starts[r + 1] as usize
     }
 
     /// The distance `d_G(s, ·)` shared by every cell of ring `r`.
@@ -324,10 +350,13 @@ impl DistanceRings {
         self.dists[r]
     }
 
-    /// Heap bytes of the rings (cells, offsets, distances).
+    /// Heap bytes of the rings (member offsets, ring starts, distances).
     pub fn memory_bytes(&self) -> usize {
-        self.cells.len() * std::mem::size_of::<CellId>()
-            + (self.starts.len() + self.dists.len()) * std::mem::size_of::<u32>()
+        let members = match &self.members {
+            Members::Narrow(m) => std::mem::size_of_val(&**m),
+            Members::Wide(m) => std::mem::size_of_val(&**m),
+        };
+        members + (self.starts.len() + self.dists.len()) * std::mem::size_of::<u32>()
     }
 }
 
@@ -343,11 +372,14 @@ pub struct PolicyIndex {
     /// Per-cell distance rings, shared by every ε — an ε schedule pays for
     /// each cell's rings once, not once per step. Weighted in bytes.
     rings: SharedLru<CellId, Arc<DistanceRings>>,
+    /// The ring cache's byte budget, which also caps what a sampler table
+    /// pins.
+    pub(crate) ring_budget: usize,
     /// Lifetime count of ring and distribution lookups — i.e. of cache
     /// mutex acquisitions (a cold miss re-acquires the lock briefly to
     /// insert, still counted as the one touch its lookup was). The release
-    /// engine's per-lane sampler memos keep this at one touch per distinct
-    /// `(mechanism, ε, cell)` per lane; tests assert it. A plain atomic,
+    /// engine's sampler table keeps this at one touch per distinct
+    /// `(mechanism, ε, cell)` per table; tests assert it. A plain atomic,
     /// so it counts with telemetry compiled out too.
     dist_touches: Arc<AtomicU64>,
     /// `calibrations[component]`: `None` = not yet computed,
@@ -374,13 +406,12 @@ impl PolicyIndex {
     /// [`PolicyIndex::RING_BYTES_PER_ENTRY`] bytes per entry of it.
     pub fn with_cache_capacity(policy: LocationPolicyGraph, max_cached_entries: usize) -> Self {
         let n_components = policy.n_components() as usize;
+        let ring_budget = max_cached_entries.saturating_mul(Self::RING_BYTES_PER_ENTRY);
         PolicyIndex {
             policy,
             distributions: SharedLru::new(rank::INDEX_DISTRIBUTIONS, max_cached_entries),
-            rings: SharedLru::new(
-                rank::INDEX_RINGS,
-                max_cached_entries.saturating_mul(Self::RING_BYTES_PER_ENTRY),
-            ),
+            rings: SharedLru::new(rank::INDEX_RINGS, ring_budget),
+            ring_budget,
             dist_touches: Arc::default(),
             calibrations: OrderedRwLock::new(rank::INDEX_CALIBRATIONS, vec![None; n_components]),
             pim_hulls: [
@@ -420,8 +451,10 @@ impl PolicyIndex {
     /// table spends per support cell. The default ring budget (256 MiB)
     /// thus sits inside the 288 MiB that per-ε alias tables (16 B/entry)
     /// plus `u16` distance rows (2 B/entry) were allowed before rings
-    /// replaced both for the graph-exponential mechanism. A ring costs
-    /// 4 B per component cell, plus 8 B per ring.
+    /// replaced both for the graph-exponential mechanism. Rings cost 2 B
+    /// per component cell (4 B past [`DistanceRings::NARROW_MEMBERS`]), plus
+    /// 8 B per ring. The same budget caps the bytes a
+    /// [`SamplerTable`](crate::mech::SamplerTable) pins.
     pub const RING_BYTES_PER_ENTRY: usize = 16;
 
     /// The cached sampling table for `(mech, eps, cell)`, building it with
@@ -503,9 +536,9 @@ impl PolicyIndex {
 
     /// Number of ring and distribution lookups (= cache-mutex touches)
     /// since construction (diagnostics). Under cell-concentrated streaming
-    /// load this is the contention metric: the sampler-handle release paths
-    /// bound it by `lanes × distinct cells` per flush, where the per-report
-    /// path paid one touch per report.
+    /// load this is the contention metric: the release kernel's sampler
+    /// table bounds it by the distinct cells per policy, where the
+    /// per-report path paid one touch per report.
     pub fn distribution_cache_touches(&self) -> u64 {
         self.dist_touches.load(Ordering::Relaxed)
     }
@@ -827,17 +860,25 @@ mod tests {
         assert_eq!(iso.calibration_length(CellId(0)), None);
     }
 
+    /// The cells of ring `r`, mapped through the member slice.
+    fn ring_cells(rings: &DistanceRings, members: &[CellId], r: usize) -> Vec<CellId> {
+        rings.ring(r).map(|i| members[rings.member(i)]).collect()
+    }
+
     /// Rings partition the component by exact distance, in increasing
     /// distance, each ring in member order, with ring 0 = the cell itself.
     fn assert_rings_exact(policy: &LocationPolicyGraph, s: CellId, rings: &DistanceRings) {
-        let mut all: Vec<CellId> = rings.cells().to_vec();
+        let members = policy.component_slice(s);
+        let mut all: Vec<CellId> = (0..rings.n_rings())
+            .flat_map(|r| ring_cells(rings, members, r))
+            .collect();
         all.sort_unstable();
-        assert_eq!(all, policy.component_slice(s), "rings cover the component");
-        assert_eq!(rings.ring(0), &[s]);
+        assert_eq!(all, members, "rings cover the component");
+        assert_eq!(ring_cells(rings, members, 0), [s]);
         for r in 0..rings.n_rings() {
             let d = rings.ring_distance(r);
             assert!(r == 0 || d > rings.ring_distance(r - 1));
-            let ring = rings.ring(r);
+            let ring = ring_cells(rings, members, r);
             assert!(!ring.is_empty());
             assert!(ring.windows(2).all(|w| w[0] < w[1]), "member order");
             assert!(ring.iter().all(|&c| policy.distance(s, c) == Some(d)));
@@ -866,20 +907,47 @@ mod tests {
         for s in [CellId(0), CellId(17), CellId(34)] {
             let rings = DistanceRings::build(&p, s);
             assert_rings_exact(&p, s, &rings);
-            assert_eq!(rings.memory_bytes(), 35 * 4 + (2 * rings.n_rings() + 1) * 4);
+            assert_eq!(rings.memory_bytes(), 35 * 2 + (2 * rings.n_rings() + 1) * 4);
         }
     }
 
     #[test]
     fn ring_counting_sort_skips_empty_distances() {
-        let cells = [CellId(10), CellId(11), CellId(12), CellId(13)];
-        let rings = DistanceRings::from_distances(&cells, &[2u32, 0, 2, 5]);
+        let members = [CellId(10), CellId(11), CellId(12), CellId(13)];
+        let rings = DistanceRings::from_distances(&[2u32, 0, 2, 5]);
         assert_eq!(rings.n_rings(), 3);
-        assert_eq!(rings.ring(0), &[CellId(11)]);
-        assert_eq!(rings.ring(1), &[CellId(10), CellId(12)]);
-        assert_eq!(rings.ring(2), &[CellId(13)]);
+        assert_eq!(ring_cells(&rings, &members, 0), [CellId(11)]);
+        assert_eq!(ring_cells(&rings, &members, 1), [CellId(10), CellId(12)]);
+        assert_eq!(ring_cells(&rings, &members, 2), [CellId(13)]);
         let dists: Vec<u32> = (0..3).map(|r| rings.ring_distance(r)).collect();
         assert_eq!(dists, vec![0, 2, 5]);
+    }
+
+    /// Past `NARROW_MEMBERS` cells, offsets no longer fit `u16`: the rings
+    /// keep 4 B entries and still address every member.
+    #[test]
+    fn wide_component_rings_keep_four_byte_offsets() {
+        const N: usize = 70_000;
+        // Member i sits at distance i % 3, so ring 1 holds 1, 4, 7, ….
+        let dist: Vec<u32> = (0..N as u32).map(|i| i % 3).collect();
+        let rings = DistanceRings::from_distances(&dist);
+        assert_eq!(rings.n_rings(), 3);
+        assert_eq!(rings.memory_bytes(), N * 4 + (2 * 3 + 1) * 4);
+        for r in 0..3 {
+            let ring = rings.ring(r);
+            assert_eq!(ring.len(), (N - r).div_ceil(3));
+            assert!(ring.clone().all(|i| rings.member(i) % 3 == r));
+            assert!(ring.clone().all(|i| dist[rings.member(i)] as usize == r));
+        }
+        // The last member (offset 69 999 > u16::MAX) is addressable.
+        let last = rings.ring(0).last().unwrap();
+        assert_eq!(rings.member(last), N - 1);
+        // A component of exactly the bound stays narrow: 2 B per cell.
+        let narrow = DistanceRings::from_distances(&dist[..DistanceRings::NARROW_MEMBERS]);
+        assert_eq!(
+            narrow.memory_bytes(),
+            DistanceRings::NARROW_MEMBERS * 2 + (2 * 3 + 1) * 4
+        );
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub use error::PglpError;
 pub use index::{DistanceRings, PolicyIndex, SamplingTable};
 pub use mech::{
     CellSampler, EuclideanExponential, GraphCalibratedLaplace, GraphExponential, IdentityMechanism,
-    Mechanism, PlanarIsotropic, PlanarLaplace, SamplerMemo, UniformComponent,
+    Mechanism, PlanarIsotropic, PlanarLaplace, SamplerMemo, SamplerTable, UniformComponent,
 };
 pub use policy::LocationPolicyGraph;
 pub use privacy::{audit_pglp, AuditReport};

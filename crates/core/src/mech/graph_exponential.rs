@@ -80,7 +80,8 @@ impl Mechanism for GraphExponential {
         }
         // The resolved handle's draw, over rings built on the spot.
         let rings = Arc::new(DistanceRings::build(policy, true_loc));
-        Ok(CellSampler::distance_rings(rings, eps).draw(rng))
+        let members = policy.component_slice(true_loc);
+        Ok(CellSampler::distance_rings(rings, members, eps).draw(rng))
     }
 
     fn output_distribution(
@@ -105,7 +106,8 @@ impl Mechanism for GraphExponential {
             return Ok(CellSampler::exact(cell));
         }
         // One ring-cache touch here; every draw is then lock-free.
-        Ok(CellSampler::distance_rings(index.distance_row(cell), eps))
+        let (rings, members) = (index.distance_row(cell), index.component_slice(cell));
+        Ok(CellSampler::distance_rings(rings, members, eps))
     }
 }
 

@@ -43,7 +43,7 @@ pub use graph_laplace::GraphCalibratedLaplace;
 pub use noise::{gamma_int, laplace_1d, planar_laplace_noise};
 pub use pim::PlanarIsotropic;
 pub use planar_laplace::PlanarLaplace;
-pub use sampler::{snap_to_cells, CellSampler, SamplerMemo};
+pub use sampler::{snap_to_cells, CellSampler, SamplerMemo, SamplerTable};
 
 use crate::error::{check_epsilon, PglpError};
 use crate::index::PolicyIndex;

@@ -9,8 +9,11 @@
 //! everything a draw needs — an `Arc` of the cell's distance rings or of a
 //! compiled alias/cumulative table, the calibration scale with the
 //! component slice to snap onto, or the prepared PIM hull — and
-//! [`CellSampler::draw`] then touches no lock at all. Lanes resolve one
-//! handle per **distinct** cell (see [`SamplerMemo`]) and draw per report.
+//! [`CellSampler::draw`] then touches no lock at all. The release kernel
+//! resolves one handle per **distinct** cell for a policy's life (see
+//! [`SamplerTable`], shared by every lane) and draws per report;
+//! [`Mechanism::perturb_batch`] does the same per batch through a
+//! [`SamplerMemo`].
 //!
 //! ## Determinism contract
 //!
@@ -20,7 +23,7 @@
 //! [`SamplingTable::ALIAS_THRESHOLD`] support cells, where its table stops
 //! being a cumulative scan). Resolution consumes no randomness. A fixed
 //! `(seed, arrival order)` therefore lands the same database whether
-//! reports are released one by one or through per-lane memoised handles —
+//! reports are released one by one or through shared resolved handles —
 //! CI enforces this byte-for-byte.
 
 use crate::error::PglpError;
@@ -31,14 +34,16 @@ use crate::mech::Mechanism;
 use panda_geo::{CellId, GridMap, Point};
 use rand::Rng;
 use rand::RngCore;
+use std::borrow::Cow;
 use std::collections::hash_map::Entry;
 // panda-check: allow(unordered_iter): memo is keyed lookup only, never iterated
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// One ring of a resolved graph-exponential handle: `cum` is the sum of
 /// the weights `|ring|·exp(−ε·d/2)` of this ring and every closer one; the
-/// ring's cells are `rings.cells()[start..start + len]`.
+/// ring's cells sit at positions `start..start + len` of the rings.
 #[derive(Debug, Clone, Copy, Default)]
 struct RingSlot {
     cum: f64,
@@ -46,31 +51,17 @@ struct RingSlot {
     len: u32,
 }
 
-/// Rings a handle keeps inline. Cliques (every partition policy) have two
-/// rings, and lanes resolve about one handle per report on them, so their
-/// handles must not allocate.
-const INLINE_RINGS: usize = 2;
-
-/// The ring slots of a handle: inline up to [`INLINE_RINGS`], else boxed.
+/// Ring slots, inline for up to two rings (every clique), so a memo's
+/// handles on partition policies need not allocate.
 #[derive(Debug, Clone)]
 enum RingSlots {
-    Inline([RingSlot; INLINE_RINGS], usize),
+    Inline([RingSlot; 2], usize),
     Boxed(Box<[RingSlot]>),
 }
 
-impl RingSlots {
-    fn collect(n: usize, slots: impl Iterator<Item = RingSlot>) -> Self {
-        if n > INLINE_RINGS {
-            return RingSlots::Boxed(slots.collect());
-        }
-        let mut inline = [RingSlot::default(); INLINE_RINGS];
-        for (dst, slot) in inline.iter_mut().zip(slots) {
-            *dst = slot;
-        }
-        RingSlots::Inline(inline, n)
-    }
-
-    fn as_slice(&self) -> &[RingSlot] {
+impl std::ops::Deref for RingSlots {
+    type Target = [RingSlot];
+    fn deref(&self) -> &[RingSlot] {
         match self {
             RingSlots::Inline(slots, n) => &slots[..*n],
             RingSlots::Boxed(slots) => slots,
@@ -87,12 +78,9 @@ enum Draw<'a> {
     /// One draw from a compiled sampling table (euclidean exponential and
     /// any closed-form mechanism).
     Table(Arc<SamplingTable>),
-    /// One graph-exponential draw over a cell's distance rings, one slot
-    /// per ring.
-    Rings {
-        rings: Arc<DistanceRings>,
-        slots: RingSlots,
-    },
+    /// One graph-exponential draw over a cell's distance rings, which
+    /// index into its component slice, with one slot per ring.
+    Rings(Arc<DistanceRings>, &'a [CellId], RingSlots),
     /// Continuous planar Laplace noise around `center` with rate `scale`,
     /// snapped to the nearest cell of the component slice.
     LaplaceSnap {
@@ -154,10 +142,15 @@ impl<'a> CellSampler<'a> {
         }
     }
 
-    /// A graph-exponential handle over `rings`: releases `z` with
-    /// probability ∝ `exp(−ε·d_G(s, z)/2)`. Costs one `exp` in all (ring
-    /// `r` weighs `|ring r|·qᵈ` with `q = exp(−ε/2)`), nothing per cell.
-    pub(crate) fn distance_rings(rings: Arc<DistanceRings>, eps: f64) -> Self {
+    /// A graph-exponential handle over `rings`, the rings of a cell whose
+    /// component slice is `members`: releases `z` with probability
+    /// ∝ `exp(−ε·d_G(s, z)/2)`. Costs one `exp` in all (ring `r` weighs
+    /// `|ring r|·qᵈ` with `q = exp(−ε/2)`), nothing per cell.
+    pub(crate) fn distance_rings(
+        rings: Arc<DistanceRings>,
+        members: &'a [CellId],
+        eps: f64,
+    ) -> Self {
         let q = (-eps / 2.0).exp();
         let (mut cum, mut start) = (0.0, 0);
         let slots = (0..rings.n_rings()).map(|r| {
@@ -169,9 +162,19 @@ impl<'a> CellSampler<'a> {
             start += len;
             slot
         });
-        let slots = RingSlots::collect(rings.n_rings(), slots);
+        let n = rings.n_rings();
+        let slots = if n > 2 {
+            RingSlots::Boxed(slots.collect())
+        } else {
+            let mut inline = [RingSlot::default(); 2];
+            inline
+                .iter_mut()
+                .zip(slots)
+                .for_each(|(dst, slot)| *dst = slot);
+            RingSlots::Inline(inline, n)
+        };
         CellSampler {
-            draw: Draw::Rings { rings, slots },
+            draw: Draw::Rings(rings, members, slots),
         }
     }
 
@@ -245,8 +248,7 @@ impl<'a> CellSampler<'a> {
         match &self.draw {
             Draw::Exact(c) => *c,
             Draw::Table(table) => table.sample(rng),
-            Draw::Rings { rings, slots } => {
-                let slots = slots.as_slice();
+            Draw::Rings(rings, members, slots) => {
                 let last = slots.len() - 1;
                 let u = rng.gen_range(0.0..slots[last].cum);
                 // partition_point can land one past the end on FP edge cases.
@@ -256,7 +258,7 @@ impl<'a> CellSampler<'a> {
                 // picks the cell, so a report still costs one RNG draw.
                 let RingSlot { cum, start, len } = slots[r];
                 let i = ((u - lo) / (cum - lo) * f64::from(len)) as u32;
-                rings.cells()[(start + i.min(len - 1)) as usize]
+                members[rings.member((start + i.min(len - 1)) as usize)]
             }
             Draw::LaplaceSnap {
                 center,
@@ -287,6 +289,27 @@ impl<'a> CellSampler<'a> {
         }
     }
 
+    /// The cell an exact handle always releases, or `None` when the handle
+    /// draws. An exact handle consumes no randomness, so a caller need not
+    /// build a stream for it.
+    pub fn fixed(&self) -> Option<CellId> {
+        let Draw::Exact(cell) = self.draw else {
+            return None;
+        };
+        Some(cell)
+    }
+
+    /// Heap bytes the handle keeps alive that its index may evict: its
+    /// rings or table, and a boxed ring-slot array.
+    fn pinned_bytes(&self) -> usize {
+        match &self.draw {
+            Draw::Table(table) => table.memory_bytes(),
+            Draw::Rings(rings, _, slots) => rings.memory_bytes() + std::mem::size_of_val(&**slots),
+            Draw::Remap { inner, .. } => inner.pinned_bytes() + std::mem::size_of::<Self>(),
+            _ => 0,
+        }
+    }
+
     /// The exact output distribution of an exact, table or ring handle, as
     /// `(cell, probability)` pairs in the handle's own order; `None` for
     /// every other handle.
@@ -301,15 +324,14 @@ impl<'a> CellSampler<'a> {
                     .zip(table.probabilities())
                     .collect(),
             ),
-            Draw::Rings { rings, slots } => {
-                let slots = slots.as_slice();
+            Draw::Rings(rings, members, slots) => {
                 let total = slots[slots.len() - 1].cum;
                 let mut lo = 0.0;
-                let mut out = Vec::with_capacity(rings.cells().len());
+                let mut out = Vec::with_capacity(members.len());
                 for &RingSlot { cum, start, len } in slots.iter() {
                     let p = (cum - lo) / total / f64::from(len);
-                    let ring = &rings.cells()[start as usize..(start + len) as usize];
-                    out.extend(ring.iter().map(|&c| (c, p)));
+                    let ring = start as usize..(start + len) as usize;
+                    out.extend(ring.map(|i| (members[rings.member(i)], p)));
                     lo = cum;
                 }
                 Some(out)
@@ -340,18 +362,84 @@ pub fn snap_to_cells(grid: &GridMap, cells: &[CellId], y: Point) -> CellId {
     best
 }
 
-/// A lane-local memo of resolved [`CellSampler`]s, keyed by true cell.
+/// A table of resolved [`CellSampler`]s for one `(mechanism, policy index,
+/// ε)` triple, one lock-free slot per grid cell, filled on first touch and
+/// shared by every release lane.
 ///
-/// The release engine's unit of contention control: each lane of the
-/// release kernel (a contiguous slice of a bulk batch or of an ingest
-/// flush) and each caller batch owns one memo, so the shared
-/// [`PolicyIndex`] caches are touched **at most once per distinct cell per
-/// lane** no matter how many reports the lane releases.
+/// Concurrent first touches of one cell resolve once (the others wait for
+/// the slot), so the shared [`PolicyIndex`] caches are touched once per
+/// distinct cell for the table's life. Errors (a foreign cell, a bad ε) are
+/// returned and never cached. Pinned handles count against the index's
+/// ring byte budget (`max_cached_entries` × [`PolicyIndex::RING_BYTES_PER_ENTRY`]);
+/// a cell whose handle does not fit resolves per use through the LRU.
+pub struct SamplerTable<'a> {
+    mech: &'a (dyn Mechanism + Sync),
+    index: &'a PolicyIndex,
+    eps: f64,
+    /// A filled `None` slot resolves per use (an error, or past budget).
+    slots: Box<[OnceLock<Option<CellSampler<'a>>>]>,
+    pinned: AtomicUsize,
+}
+
+impl<'a> SamplerTable<'a> {
+    /// An empty table over every cell of `index`'s grid.
+    pub fn new(mech: &'a (dyn Mechanism + Sync), index: &'a PolicyIndex, eps: f64) -> Self {
+        let n_cells = index.policy().grid().n_cells() as usize;
+        SamplerTable {
+            mech,
+            index,
+            eps,
+            slots: (0..n_cells).map(|_| OnceLock::new()).collect(),
+            pinned: AtomicUsize::new(0),
+        }
+    }
+
+    /// The handle for `cell`, resolved through [`Mechanism::sampler`] on
+    /// its first touch.
+    ///
+    /// # Errors
+    ///
+    /// Resolution failures ([`PglpError::InvalidEpsilon`],
+    /// [`PglpError::LocationOutOfDomain`]), on every touch.
+    pub fn handle(&self, cell: CellId) -> Result<Cow<'_, CellSampler<'a>>, PglpError> {
+        let resolve = || self.mech.sampler(self.index, self.eps, cell);
+        let pinned = self.slots.get(cell.index()).and_then(|slot| {
+            slot.get_or_init(|| resolve().ok().filter(|h| self.reserve(h.pinned_bytes())))
+                .as_ref()
+        });
+        match pinned {
+            Some(handle) => Ok(Cow::Borrowed(handle)),
+            None => resolve().map(Cow::Owned),
+        }
+    }
+
+    /// Bytes of rings and tables the table's handles pin (≤ the index's
+    /// ring budget).
+    pub fn pinned_bytes(&self) -> usize {
+        self.pinned.load(Ordering::Relaxed)
+    }
+
+    /// Charges `bytes` to the budget; `false` (nothing charged) past it.
+    fn reserve(&self, bytes: usize) -> bool {
+        self.pinned
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |p| {
+                p.checked_add(bytes)
+                    .filter(|&total| total <= self.index.ring_budget)
+            })
+            .is_ok()
+    }
+}
+
+/// A batch-local memo of resolved [`CellSampler`]s, keyed by true cell.
+///
+/// [`Mechanism::perturb_batch`] owns one per caller batch, so the shared
+/// [`PolicyIndex`] caches are touched **at most once per distinct cell**
+/// no matter how many reports the batch releases.
 ///
 /// A memo is scoped to **one `(mechanism, ε, policy index)` triple** — the
 /// map is keyed by cell alone, so reusing it across mechanisms, epsilons or
-/// indices would silently serve stale handles. Every release-engine lane
-/// pins the triple for its lifetime; a `debug_assert` catches mixed use.
+/// indices would silently serve stale handles. A batch pins the triple for
+/// its lifetime; a `debug_assert` catches mixed use.
 #[derive(Debug, Default)]
 pub struct SamplerMemo<'a> {
     // panda-check: allow(unordered_iter): keyed lookup only, never iterated
@@ -488,6 +576,43 @@ mod tests {
             2,
             "one cache touch per distinct cell, not per resolve"
         );
+    }
+
+    /// A table resolves each cell once, however many lanes race for it;
+    /// errors come back on every touch and are never cached.
+    #[test]
+    fn table_resolves_each_cell_once_and_never_caches_errors() {
+        let index = index();
+        let table = SamplerTable::new(&GraphExponential, &index, 1.0);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    for cell in (0..16).cycle().take(400) {
+                        table.handle(CellId(cell)).unwrap();
+                    }
+                });
+            }
+        });
+        assert_eq!(index.distribution_cache_touches(), 16);
+        assert!(table.pinned_bytes() > 0);
+        for _ in 0..2 {
+            assert!(matches!(
+                table.handle(CellId(u32::MAX)),
+                Err(PglpError::LocationOutOfDomain(_))
+            ));
+        }
+        let bad_eps = SamplerTable::new(&GraphExponential, &index, 0.0);
+        for _ in 0..2 {
+            assert!(matches!(
+                bad_eps.handle(CellId(0)),
+                Err(PglpError::InvalidEpsilon(_))
+            ));
+        }
+        assert_eq!(index.distribution_cache_touches(), 16);
+        // Identity handles are exact: the kernel builds them no stream.
+        let identity = SamplerTable::new(&IdentityMechanism, &index, 1.0);
+        assert_eq!(identity.handle(CellId(6)).unwrap().fixed(), Some(CellId(6)));
+        assert_eq!(table.handle(CellId(6)).unwrap().fixed(), None);
     }
 
     #[test]

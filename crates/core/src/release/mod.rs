@@ -14,11 +14,14 @@
 //!   `0..n`, the ingest pipeline stamps arrival sequence numbers — so a
 //!   bulk release of `n` reports lands exactly what an ingest pipeline with
 //!   the same seed lands when fed the same `n` reports in order;
-//! * each lane owns one [`SamplerMemo`]: the shared [`PolicyIndex`] caches
-//!   are touched at most once per distinct cell per lane, and every report
-//!   then draws lock-free. Resolution consumes no randomness and a handle
-//!   draw consumes what [`Mechanism::perturb`] does, so the output equals
-//!   releasing each report alone through `perturb`;
+//! * every lane shares one [`SamplerTable`] for the `(mechanism, index,
+//!   ε)` triple: the shared [`PolicyIndex`] caches are touched at most once
+//!   per distinct cell for the table's life (one bulk call, or one policy of
+//!   an ingest pipeline), and every report then draws lock-free. Resolution
+//!   consumes no randomness and a handle draw consumes what
+//!   [`Mechanism::perturb`] does, so the output equals releasing each report
+//!   alone through `perturb`. An exact handle draws nothing, so its report
+//!   builds no stream;
 //! * a batch is cut into contiguous lanes fanned over the persistent
 //!   [`pool::ReleasePool`]. The **caller runs the last lane itself** and
 //!   the workers take the others, so one lane never leaves the caller
@@ -32,7 +35,7 @@ pub mod pool;
 
 use crate::error::PglpError;
 use crate::index::PolicyIndex;
-use crate::mech::{Mechanism, SamplerMemo};
+use crate::mech::{Mechanism, SamplerTable};
 use panda_check::ordered::{rank, OrderedMutex};
 use panda_geo::CellId;
 use pool::ReleasePool;
@@ -117,18 +120,19 @@ impl ParallelReleaser {
         seed: u64,
     ) -> Result<Vec<CellId>, PglpError> {
         let stamped: Vec<(u64, CellId)> = (0u64..).zip(locs.iter().copied()).collect();
-        match self.release_stamped(pool, mech, index, eps, seed, &stamped) {
+        let table = SamplerTable::new(mech, index, eps);
+        match self.release_stamped(pool, &table, seed, &stamped) {
             (_, Some((_, e))) => Err(e),
             // No rejection: every slot is filled.
             (out, None) => Ok(out.into_iter().flatten().collect()),
         }
     }
 
-    /// Releases `(seq, cell)` reports on `pool`, each drawn from
-    /// [`chunk_rng`]`(seed, seq)`. Slot `i` of the returned vector is the
-    /// released cell of `reports[i]`, or `None` when that report cannot be
-    /// released (bad ε, foreign cell); the [`Rejection`] is the earliest
-    /// such position.
+    /// Releases `(seq, cell)` reports on `pool` through `table`'s handles,
+    /// each drawn from [`chunk_rng`]`(seed, seq)`. Slot `i` of the returned
+    /// vector is the released cell of `reports[i]`, or `None` when that
+    /// report cannot be released (bad ε, foreign cell); the [`Rejection`] is
+    /// the earliest such position.
     ///
     /// The batch is cut into up to [`ParallelReleaser::n_threads`]
     /// contiguous lanes. The caller thread runs the last lane (a single
@@ -136,16 +140,14 @@ impl ParallelReleaser {
     pub fn release_stamped(
         &self,
         pool: &ReleasePool,
-        mech: &(dyn Mechanism + Sync),
-        index: &PolicyIndex,
-        eps: f64,
+        table: &SamplerTable<'_>,
         seed: u64,
         reports: &[(u64, CellId)],
     ) -> (Vec<Option<CellId>>, Option<Rejection>) {
         let mut out = vec![None; reports.len()];
         let n_lanes = self.n_threads.min(reports.len());
         if n_lanes <= 1 {
-            let rejection = release_into(mech, index, eps, seed, reports, &mut out);
+            let rejection = release_into(table, seed, reports, &mut out);
             return (out, rejection);
         }
         let lane_len = reports.len().div_ceil(n_lanes);
@@ -158,7 +160,7 @@ impl ParallelReleaser {
             .map(|(lane, (reports, out))| {
                 let rejections = &rejections;
                 Box::new(move || {
-                    if let Some((i, e)) = release_into(mech, index, eps, seed, reports, out) {
+                    if let Some((i, e)) = release_into(table, seed, reports, out) {
                         rejections.lock().push((lane * lane_len + i, e));
                     }
                 }) as Box<dyn FnOnce() + Send + '_>
@@ -175,22 +177,21 @@ impl ParallelReleaser {
 /// An unreleasable report is marked rejected (`None`); the first rejection
 /// in the lane is returned.
 ///
-/// The lane owns one [`SamplerMemo`], so the shared [`PolicyIndex`]
-/// distribution cache is touched at most once per distinct cell, and every
-/// report then draws lock-free from its own stream.
+/// Handles come from the shared [`SamplerTable`], so every report draws
+/// lock-free from its own stream; an exact handle needs no stream at all.
 fn release_into(
-    mech: &(dyn Mechanism + Sync),
-    index: &PolicyIndex,
-    eps: f64,
+    table: &SamplerTable<'_>,
     seed: u64,
     reports: &[(u64, CellId)],
     out: &mut [Option<CellId>],
 ) -> Option<Rejection> {
     let mut rejection = None;
-    let mut memo = SamplerMemo::new();
     for (i, (&(seq, cell), slot)) in reports.iter().zip(out.iter_mut()).enumerate() {
-        match memo.handle(mech, index, eps, cell) {
-            Ok(sampler) => *slot = Some(sampler.draw(&mut chunk_rng(seed, seq))),
+        match table.handle(cell) {
+            Ok(sampler) => {
+                let fixed = sampler.fixed();
+                *slot = Some(fixed.unwrap_or_else(|| sampler.draw(&mut chunk_rng(seed, seq))));
+            }
             Err(e) => {
                 *slot = None;
                 rejection.get_or_insert((i, e));
@@ -390,9 +391,9 @@ mod tests {
         }
     }
 
-    /// The lane memo: a release touches the shared distribution cache at
-    /// most once per distinct cell per lane, no matter how many reports
-    /// the lane covers.
+    /// A release touches the shared distribution cache at most once per
+    /// distinct cell per lane, no matter how many reports the lane covers
+    /// (the shared table tightens this to once per distinct cell).
     #[test]
     fn release_touches_cache_once_per_distinct_cell_per_lane() {
         let grid = GridMap::new(16, 16, 100.0);
@@ -414,6 +415,43 @@ mod tests {
              distinct({distinct}) = {bound}"
         );
         assert!(touches >= distinct as u64, "every distinct cell resolves");
+    }
+
+    /// An index whose ring budget holds fewer handles than the batch has
+    /// distinct cells pins what fits, resolves the rest per use, and
+    /// releases exactly what an unbounded index releases.
+    #[test]
+    fn small_ring_budget_releases_alike_and_pins_within_it() {
+        let grid = GridMap::new(16, 16, 100.0);
+        let policy = LocationPolicyGraph::g1_geo_indistinguishability(grid);
+        // One 256-cell component: a handle's rings and ring slots take most
+        // of a 1.6 kB budget, so few of the 256 distinct cells are pinned.
+        let small = PolicyIndex::with_cache_capacity(policy.clone(), 100);
+        let unbounded = PolicyIndex::new(policy);
+        let reports: Vec<(u64, CellId)> = (0..4_096u64)
+            .map(|i| (i, CellId((i % 256) as u32)))
+            .collect();
+        let releaser = ParallelReleaser::with_threads(4);
+        let pool = ReleasePool::new(2);
+        let release = |index: &PolicyIndex| {
+            let table = SamplerTable::new(&GraphExponential, index, 1.0);
+            let (out, rejection) = releaser.release_stamped(&pool, &table, 5, &reports);
+            assert!(rejection.is_none());
+            (out, table.pinned_bytes())
+        };
+        let (from_small, pinned) = release(&small);
+        let (from_unbounded, _) = release(&unbounded);
+        assert_eq!(from_small, from_unbounded, "the budget changed the output");
+        assert!(pinned > 0, "the first handles fit");
+        let budget = 100 * PolicyIndex::RING_BYTES_PER_ENTRY;
+        assert!(
+            pinned <= budget,
+            "pinned {pinned} B past the {budget} B budget"
+        );
+        assert!(
+            small.distribution_cache_touches() > 256,
+            "cells past the budget resolve per use"
+        );
     }
 
     #[test]

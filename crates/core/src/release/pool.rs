@@ -30,11 +30,11 @@
 //! is irrelevant — see the determinism contract on
 //! [`ParallelReleaser`](super::ParallelReleaser).
 //!
-//! Contention discipline: each lane a pool worker runs owns a
-//! [`SamplerMemo`](crate::mech::SamplerMemo), so concurrent lanes touch the
-//! shared [`PolicyIndex`](crate::PolicyIndex) distribution cache at most
-//! once per distinct cell each — workers spend their time drawing, not
-//! queueing on the cache mutex.
+//! Contention discipline: the lanes of one release share a
+//! [`SamplerTable`](crate::mech::SamplerTable), so together they touch the
+//! shared [`PolicyIndex`](crate::PolicyIndex) caches at most once per
+//! distinct cell — workers spend their time drawing, not queueing on the
+//! cache mutex.
 
 use crossbeam::channel::{bounded, Receiver, Sender};
 use panda_obs::{clock, Counter, Gauge, Histogram, Registry};

@@ -170,6 +170,10 @@ struct TailSlot {
 struct RouterConn {
     acked: u64,
     tail: VecDeque<TailSlot>,
+    /// Per-shard fan-out buffers, cleared and refilled every frame: the
+    /// stamped sub-batch and the tail slot of each of its reports.
+    per_shard: Vec<Vec<SequencedReport>>,
+    slots_per_shard: Vec<Vec<usize>>,
 }
 
 /// A running shard router; dropping it shuts it down (backends are
@@ -411,8 +415,11 @@ impl RouterService {
         }
         // Group the not-yet-queued positions by shard, preserving stream
         // order, stamped with their reserved sequence numbers.
-        let mut per_shard: Vec<Vec<SequencedReport>> = vec![Vec::new(); n_shards];
-        let mut slots_per_shard: Vec<Vec<usize>> = vec![Vec::new(); n_shards];
+        let (per_shard, slots_per_shard) = (&mut conn.per_shard, &mut conn.slots_per_shard);
+        per_shard.resize_with(n_shards, Vec::new);
+        slots_per_shard.resize_with(n_shards, Vec::new);
+        per_shard.iter_mut().for_each(Vec::clear);
+        slots_per_shard.iter_mut().for_each(Vec::clear);
         for (i, ((report, released), slot)) in entries.zip(&conn.tail).enumerate() {
             if slot.accepted {
                 // Queued on its shard in a previous attempt; never

@@ -23,7 +23,10 @@
 //! * each flush releases through one shared [`PolicyIndex`] with the
 //!   release kernel bulk release uses ([`ParallelReleaser`]), over the
 //!   persistent release pool — the collector runs the last lane itself —
-//!   and lands via `Server::receive_batch`;
+//!   and lands via `Server::receive_batch`. The collector keeps one
+//!   [`SamplerTable`] per policy, alive from one in-band switch to the
+//!   next, so each distinct cell resolves once per policy, not once per
+//!   flush;
 //! * dropping or [`IngestPipeline::shutdown`]-ing the pipeline **drains**:
 //!   everything queued before shutdown is flushed before the collector
 //!   exits — no report is lost.
@@ -55,7 +58,7 @@
 use crate::protocol::LocationReport;
 use crate::server::Server;
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
-use panda_core::{Mechanism, ParallelReleaser, PolicyIndex, ReleasePool};
+use panda_core::{Mechanism, ParallelReleaser, PolicyIndex, ReleasePool, SamplerTable};
 use panda_geo::CellId;
 use panda_mobility::{Timestamp, UserId};
 use panda_obs::{clock, Counter, Gauge, Histogram, Registry};
@@ -359,7 +362,9 @@ impl IngestPipeline {
             let registry = Arc::clone(&registry);
             std::thread::Builder::new()
                 .name("panda-ingest".into())
-                .spawn(move || Collector::new(server, index, mech, config, pool, registry).run(rx))
+                .spawn(move || {
+                    Collector::new(server, &index, config, pool, registry).run(rx, index, mech)
+                })
                 .expect("spawn ingest collector")
         };
         IngestPipeline {
@@ -447,8 +452,6 @@ impl IngestMetrics {
 /// The collector-thread state: pending micro-batch plus lifetime stats.
 struct Collector {
     server: Arc<Server>,
-    index: Arc<PolicyIndex>,
-    mech: Arc<dyn Mechanism + Send + Sync>,
     config: IngestConfig,
     /// `None` → release over [`ReleasePool::global`].
     pool: Option<Arc<ReleasePool>>,
@@ -474,8 +477,7 @@ enum FlushCause {
 impl Collector {
     fn new(
         server: Arc<Server>,
-        index: Arc<PolicyIndex>,
-        mech: Arc<dyn Mechanism + Send + Sync>,
+        index: &PolicyIndex,
         config: IngestConfig,
         pool: Option<Arc<ReleasePool>>,
         registry: Arc<Registry>,
@@ -491,8 +493,6 @@ impl Collector {
             .register_metrics(&registry);
         Collector {
             server,
-            index,
-            mech,
             config,
             pool,
             pending: Vec::new(),
@@ -504,12 +504,56 @@ impl Collector {
         }
     }
 
-    fn run(mut self, rx: Receiver<IngestMsg>) -> IngestStats {
+    fn run(
+        mut self,
+        rx: Receiver<IngestMsg>,
+        mut index: Arc<PolicyIndex>,
+        mech: Arc<dyn Mechanism + Send + Sync>,
+    ) -> IngestStats {
         // The run of messages taken under one lock, handled in order. It
         // holds at most what the pending batch has room for, so reports in
         // memory stay within `queue_capacity + max_batch`.
         let mut run = VecDeque::new();
         loop {
+            // One sampler table per policy, alive from one in-band switch
+            // to the next: no handle of an old index serves a later report.
+            let table = SamplerTable::new(&*mech, &index, self.config.eps);
+            let Some(next) = self.serve(&rx, &mut run, &table) else {
+                return self.stats;
+            };
+            index = next;
+            // Re-point the scrape plane at the new index's cache handles
+            // (adopt-replace by name).
+            index.register_metrics(&self.registry);
+            self.stats.policy_switches += 1;
+            self.metrics.policy_switches.inc();
+        }
+    }
+
+    /// Handles queue messages in arrival order under one policy's `table`
+    /// until a switch, flushing under the old policy first (the switch is a
+    /// clean boundary in the landed stream) and returning the new index; or
+    /// until a Stop, draining and returning `None`.
+    fn serve(
+        &mut self,
+        rx: &Receiver<IngestMsg>,
+        run: &mut VecDeque<IngestMsg>,
+        table: &SamplerTable<'_>,
+    ) -> Option<Arc<PolicyIndex>> {
+        loop {
+            while let Some(msg) = run.pop_front() {
+                match msg {
+                    IngestMsg::Report(entry) => self.accept(entry, table),
+                    IngestMsg::Switch(index) => {
+                        self.flush(FlushCause::Forced, table);
+                        return Some(index);
+                    }
+                    IngestMsg::Stop => {
+                        self.flush(FlushCause::Forced, table);
+                        return None;
+                    }
+                }
+            }
             // Sample the backlog at batch boundaries only (first message
             // of a batch and idle wake-ups): per-message gauge stores are
             // measurable at saturation, and a reading at most one
@@ -530,13 +574,13 @@ impl Collector {
                 Some(deadline) => {
                     let now = clock::now();
                     if now >= deadline {
-                        self.flush(FlushCause::Deadline);
+                        self.flush(FlushCause::Deadline, table);
                         continue;
                     }
                     match rx.recv_timeout(deadline - now) {
                         Ok(msg) => msg,
                         Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
-                            self.flush(FlushCause::Deadline);
+                            self.flush(FlushCause::Deadline, table);
                             continue;
                         }
                         Err(crossbeam::channel::RecvTimeoutError::Disconnected) => IngestMsg::Stop,
@@ -547,84 +591,60 @@ impl Collector {
             // `msg`, up to the pending batch's free room, under one lock.
             run.push_back(msg);
             let room = self.config.max_batch.saturating_sub(self.pending.len() + 1);
-            rx.try_recv_batch(&mut run, room);
-            while let Some(msg) = run.pop_front() {
-                if !self.handle(msg) {
-                    return self.stats;
-                }
-            }
+            rx.try_recv_batch(run, room);
         }
     }
 
-    /// Handles one queue message in arrival order; `false` once the
-    /// collector has drained for a Stop and should exit.
-    fn handle(&mut self, msg: IngestMsg) -> bool {
-        match msg {
-            IngestMsg::Report(entry) => {
-                let (report, released) = match entry {
-                    Entry::Sequenced(s) => {
-                        // Keep the local counter ahead of upstream stamps
-                        // so a pipeline fed from both paths never reuses a
-                        // stream.
-                        self.next_seq = self.next_seq.max(s.seq.saturating_add(1));
-                        self.push_entry(s);
-                        return true;
-                    }
-                    Entry::Pending(report) => (report, false),
-                    Entry::Released(r) => {
-                        let report = PendingReport {
-                            user: r.user,
-                            epoch: r.epoch,
-                            cell: r.cell,
-                            resend: r.resend,
-                        };
-                        (report, true)
-                    }
+    /// Sequences one report entry into the pending batch.
+    fn accept(&mut self, entry: Entry, table: &SamplerTable<'_>) {
+        let (report, released) = match entry {
+            Entry::Sequenced(s) => {
+                // Keep the local counter ahead of upstream stamps so a
+                // pipeline fed from both paths never reuses a stream.
+                self.next_seq = self.next_seq.max(s.seq.saturating_add(1));
+                self.push_entry(s, table);
+                return;
+            }
+            Entry::Pending(report) => (report, false),
+            Entry::Released(r) => {
+                let report = PendingReport {
+                    user: r.user,
+                    epoch: r.epoch,
+                    cell: r.cell,
+                    resend: r.resend,
                 };
-                let seq = self.next_seq;
-                self.next_seq += 1;
-                self.push_entry(SequencedReport {
-                    seq,
-                    report,
-                    released,
-                });
+                (report, true)
             }
-            IngestMsg::Switch(index) => {
-                // Flush under the old policy first: the switch is a clean
-                // boundary in the landed stream.
-                self.flush(FlushCause::Forced);
-                self.index = index;
-                // Re-point the scrape plane at the new index's cache
-                // handles (adopt-replace by name).
-                self.index.register_metrics(&self.registry);
-                self.stats.policy_switches += 1;
-                self.metrics.policy_switches.inc();
-            }
-            IngestMsg::Stop => {
-                self.flush(FlushCause::Forced);
-                return false;
-            }
-        }
-        true
+        };
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.push_entry(
+            SequencedReport {
+                seq,
+                report,
+                released,
+            },
+            table,
+        );
     }
 
     /// Appends one sequenced entry to the pending batch, counting it and
     /// firing a size flush at the threshold.
-    fn push_entry(&mut self, entry: SequencedReport) {
+    fn push_entry(&mut self, entry: SequencedReport, table: &SamplerTable<'_>) {
         if self.pending.is_empty() {
             self.oldest = Some(clock::now());
         }
         self.pending.push(entry);
         self.stats.submitted += 1;
         if self.pending.len() >= self.config.max_batch {
-            self.flush(FlushCause::Size);
+            self.flush(FlushCause::Size, table);
         }
     }
 
     /// Releases the pending micro-batch through the release kernel
-    /// (per-report RNG streams, lanes fanned over the pipeline's pool) and
-    /// lands it on the server.
-    fn flush(&mut self, cause: FlushCause) {
+    /// (per-report RNG streams, lanes fanned over the pipeline's pool,
+    /// handles from the policy's `table`) and lands it on the server.
+    fn flush(&mut self, cause: FlushCause, table: &SamplerTable<'_>) {
         self.oldest = None;
         if self.pending.is_empty() {
             return;
@@ -649,14 +669,7 @@ impl Collector {
             .as_deref()
             .unwrap_or_else(|| ReleasePool::global());
         let (drawn, _) = ParallelReleaser::with_threads(self.config.release_threads)
-            .release_stamped(
-                pool,
-                &*self.mech,
-                &self.index,
-                self.config.eps,
-                self.config.seed,
-                &stamped,
-            );
+            .release_stamped(pool, table, self.config.seed, &stamped);
         let mut drawn = drawn.into_iter();
         let mut landed = Vec::with_capacity(batch.len());
         for entry in &batch {
@@ -1171,8 +1184,8 @@ mod tests {
         }
     }
 
-    /// The sampler-handle contract: the streaming path (per-lane memoised
-    /// `SamplerMemo` release) must land a database bit-identical to
+    /// The sampler-handle contract: the streaming path (handles resolved
+    /// once per policy in a `SamplerTable`) must land a database bit-identical to
     /// releasing every report through the mechanism's definition (one
     /// `perturb` call per arrival-seq stream) — for every mechanism, lane
     /// count in 1..16, and flush timing.
@@ -1297,6 +1310,54 @@ mod tests {
             "sampler handles must beat one touch per report ({touches} vs {})",
             trace.len()
         );
+    }
+
+    /// The collector keeps one sampler table per policy: across every
+    /// flush and every lane, the shared cache is touched exactly once per
+    /// distinct cell, and a switched-in index starts its own table.
+    #[test]
+    fn flush_touches_cache_once_per_distinct_cell_per_policy() {
+        let (server, index) = setup(16);
+        let next = Arc::new(PolicyIndex::new(LocationPolicyGraph::partition(
+            GridMap::new(8, 8, 100.0),
+            4,
+            4,
+        )));
+        let distinct = 24u32;
+        let trace: Vec<PendingReport> = (0..6_000u32)
+            .map(|i| PendingReport {
+                user: UserId(i % 300),
+                epoch: (i / 300) as Timestamp,
+                cell: CellId(i * 7 % distinct),
+                resend: false,
+            })
+            .collect();
+        let pipeline = IngestPipeline::spawn(
+            Arc::clone(&server),
+            Arc::clone(&index),
+            Arc::new(GraphExponential),
+            IngestConfig {
+                max_batch: 64,
+                max_delay: Duration::from_secs(3600),
+                release_threads: 4,
+                ..Default::default()
+            },
+        );
+        let handle = pipeline.handle();
+        let (before, after) = trace.split_at(4_000);
+        handle.submit(before).unwrap();
+        handle.switch_policy(Arc::clone(&next)).unwrap();
+        handle.submit(after).unwrap();
+        let stats = pipeline.shutdown();
+        assert_eq!(stats.landed, trace.len());
+        assert!(stats.batches > 50, "many flushes: {}", stats.batches);
+        for (policy, index) in [("first", &index), ("second", &next)] {
+            assert_eq!(
+                index.distribution_cache_touches(),
+                u64::from(distinct),
+                "{policy} policy: one touch per distinct cell over all flushes and lanes"
+            );
+        }
     }
 
     /// Submitting a slice must be observationally equivalent to submitting

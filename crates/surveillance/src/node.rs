@@ -254,8 +254,8 @@ mod tests {
         assert_eq!(server.n_resends(), 1);
     }
 
-    /// `shard_of` routing and server striping agree: a node's server slice
-    /// only ever sees users that route to it.
+    /// `shard_of` routing is a pure function of the user: a node's server
+    /// slice only ever sees users that route to it.
     #[test]
     fn routing_is_a_pure_function_of_the_user() {
         for n in [1usize, 2, 4, 16] {

@@ -119,12 +119,10 @@ pub struct Server {
     health: OrderedRwLock<HealthState>,
 }
 
-/// The shard a user routes to out of `n_shards` (≥ 1) — the one pure
-/// function behind **every** user-partitioned tier: the server's lock
-/// stripes, and the multi-node router's shard-node fan-out
-/// (`panda_net::router::ShardRouter`). Sharing it is what makes "shard
-/// node *i* owns exactly the users the server would stripe to *i*" true by
-/// construction.
+/// The shard node a user routes to out of `n_shards` (≥ 1) — the pure
+/// function behind the multi-node router's fan-out
+/// (`panda_net::router::ShardRouter`) and every test or tool that splits a
+/// stream the way the router does.
 ///
 /// The raw ID is mixed through a SplitMix64-style finaliser before the
 /// modulo: `user.0 % n_shards` would collapse any stride-aligned ID
@@ -134,8 +132,13 @@ pub struct Server {
 /// stays a pure function of the ID.
 #[inline]
 pub fn shard_of(user: UserId, n_shards: usize) -> usize {
-    let z = panda_core::release::splitmix64(u64::from(user.0).wrapping_add(0x9E37_79B9_7F4A_7C15));
-    (z % n_shards.max(1) as u64) as usize
+    salted_shard(user, 0x9E37_79B9_7F4A_7C15, n_shards)
+}
+
+/// `user` mixed with `salt` through the SplitMix64 finaliser, modulo `n`.
+fn salted_shard(user: UserId, salt: u64, n: usize) -> usize {
+    let z = panda_core::release::splitmix64(u64::from(user.0).wrapping_add(salt));
+    (z % n.max(1) as u64) as usize
 }
 
 impl Server {
@@ -172,11 +175,14 @@ impl Server {
         self.shards.len()
     }
 
-    /// The lock stripe of a user (stable for the server's lifetime):
-    /// the free function [`shard_of`] over this server's stripe count.
+    /// The lock stripe of a user (stable for the server's lifetime). It
+    /// mixes with a salt of its own: a server behind an `n`-node router
+    /// sees only users of one [`shard_of`]`(·, n)` value, and striping them
+    /// by that same hash would leave most stripes empty (8 of 16 at
+    /// `n = 2`).
     #[inline]
     fn shard_of(&self, user: UserId) -> usize {
-        shard_of(user, self.shards.len())
+        salted_shard(user, 0xD1B5_4A32_D192_ED03, self.shards.len())
     }
 
     /// Reports received per lock stripe (ingest-side load view, aggregated
@@ -694,6 +700,27 @@ mod tests {
         // No pathological hot stripe either: each holds well under the
         // whole population (expected 16 ± a few under the mixed routing).
         assert!(loads.iter().all(|&n| n < 64), "hot stripe in {loads:?}");
+    }
+
+    /// A server behind a 2- or 4-node split still fills every stripe: the
+    /// stripe hash is independent of the node hash.
+    #[test]
+    fn every_stripe_of_every_node_fills_under_a_node_split() {
+        for n_nodes in [2usize, 4] {
+            let nodes: Vec<Server> = (0..n_nodes)
+                .map(|_| Server::new(GridMap::new(4, 4, 100.0)))
+                .collect();
+            for u in 0..2_000u32 {
+                nodes[shard_of(UserId(u), n_nodes)].receive(report(u, 0, 3, false));
+            }
+            for (i, node) in nodes.iter().enumerate() {
+                let loads = node.shard_loads();
+                assert!(
+                    loads.iter().all(|&n| n > 0),
+                    "node {i} of {n_nodes}: empty stripes in {loads:?}"
+                );
+            }
+        }
     }
 
     /// Per-user routing is stable: every observable keyed by user works

@@ -86,6 +86,7 @@ fn city_ingest_is_backend_invariant() {
 
     let reports = trace(6_000, 9);
     let horizon = (reports.len() / 300) as Timestamp + 1;
+    let touches0 = oracle.distribution_cache_touches();
     let from_oracle = run(Arc::clone(&oracle), &reports);
     let from_dense = run(dense, &reports);
     assert_eq!(
@@ -107,4 +108,12 @@ fn city_ingest_is_backend_invariant() {
         distinct.len()
     );
     assert!(oracle.cache_memory_bytes() > 0);
+    // One sampler table for the pipeline's policy: the four lanes race to
+    // fill its slots, yet each distinct cell resolves once.
+    let touches = oracle.distribution_cache_touches() - touches0;
+    assert!(
+        touches as usize <= distinct.len(),
+        "cache touches ({touches}) must not exceed distinct cells ({})",
+        distinct.len()
+    );
 }

@@ -675,7 +675,7 @@ fn bench_large_graph(quick: bool) -> Vec<LargeGraphRow> {
     });
     let reports_per_sec_1t = reports as f64 / (percentile(&single, 0.5) / 1e3);
 
-    let mt_threads = panda_core::release::pool::default_parallelism().max(2);
+    let mt_threads = panda_core::release::default_parallelism().max(2);
     let releaser = ParallelReleaser::with_threads(mt_threads);
     let multi = time_batches(iters, || {
         black_box(
@@ -801,7 +801,7 @@ fn main() {
     let net_mode = std::env::args().any(|a| a == "--net");
     let large_graph_mode = std::env::args().any(|a| a == "--large-graph");
     let cluster_mode = std::env::args().any(|a| a == "--cluster");
-    let hw = panda_core::release::pool::default_parallelism();
+    let hw = panda_core::release::default_parallelism();
     println!(
         "release-engine bench ({} mode, {hw} hardware threads)\n",
         if quick { "quick" } else { "full" }

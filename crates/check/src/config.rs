@@ -255,9 +255,9 @@ blocks = 1
 reason = "slice reinterpret"
 
 [[unsafe_allow]]
-file = "crates/core/src/release/pool.rs"
+file = "crates/core/src/ffi.rs"
 blocks = 1
-reason = "job transmute"
+reason = "raw buffer view"
 "##;
         let cfg = parse(text).unwrap();
         assert_eq!(cfg.determinism_modules.len(), 2);

@@ -75,8 +75,6 @@ pub mod rank {
     pub const INDEX_CALIBRATIONS: Rank = Rank::new(620, "index.calibrations");
     /// `PolicyIndex` prepared-hull memos (slots are never nested).
     pub const INDEX_PIM_HULLS: Rank = Rank::new(630, "index.pim_hulls");
-    /// The parallel releaser's cross-worker failure collector.
-    pub const RELEASE_FAILURES: Rank = Rank::new(700, "release.failures");
 }
 
 /// The lock-order bookkeeping, compiled in only when checking is on.

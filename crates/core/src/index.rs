@@ -27,8 +27,7 @@
 //! feed it to [`Mechanism::perturb_batch`](crate::mech::Mechanism::perturb_batch);
 //! experiment harnesses build one per swept policy. All caches are
 //! thread-safe, so one index can serve concurrent report streams — this is
-//! what the concurrent lanes of [`crate::release::ParallelReleaser`] rely
-//! on.
+//! what the concurrent [`crate::release::Lanes`] rely on.
 
 use crate::cache::{bump, CacheStats, SharedLru};
 use crate::mech::pim::PreparedHull;

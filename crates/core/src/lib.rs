@@ -26,15 +26,16 @@
 //!   consumed by [`Mechanism::perturb_batch`].
 //! * [`release`] — the one per-report release kernel (each report drawn
 //!   from its own `(seed, seq)` stream) behind both bulk release and the
-//!   ingest pipeline, fanned by [`release::ParallelReleaser`] over one
-//!   shared [`PolicyIndex`] in contiguous lanes on the persistent
-//!   [`release::pool::ReleasePool`] (workers parked between bursts; the
-//!   caller runs the last lane itself).
+//!   ingest pipeline, fanned over one shared [`PolicyIndex`] in contiguous
+//!   lanes on helper threads scoped to one sampler table — per call in a
+//!   bulk release, per policy in the ingest collector's
+//!   [`release::Lanes`] — with the caller running the last lane itself.
 //! * [`budget`] — policy-aware privacy-budget allocation and sequential
 //!   composition across release epochs.
 //! * [`repair`] — policy feasibility under external constraints and minimal
 //!   policy repair (the machinery behind dynamic policy updates).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
@@ -58,5 +59,4 @@ pub use mech::{
 };
 pub use policy::LocationPolicyGraph;
 pub use privacy::{audit_pglp, AuditReport};
-pub use release::pool::ReleasePool;
 pub use release::ParallelReleaser;

@@ -13,17 +13,6 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 use std::sync::Arc;
 
-/// Views an interned node-id slice as a cell-id slice.
-///
-/// Sound because [`CellId`] is `#[repr(transparent)]` over `u32`, which is
-/// what `panda_graph::NodeId` is.
-#[inline]
-pub(crate) fn cells_of_nodes(nodes: &[panda_graph::NodeId]) -> &[CellId] {
-    // SAFETY: CellId is #[repr(transparent)] over u32 = NodeId, so the two
-    // slice types have identical layout.
-    unsafe { std::slice::from_raw_parts(nodes.as_ptr().cast::<CellId>(), nodes.len()) }
-}
-
 /// A location policy graph `G = (S, E)` over a grid domain (Def. 2.1).
 ///
 /// Immutable after construction; dynamic policy updates (contact tracing's
@@ -39,6 +28,9 @@ pub(crate) fn cells_of_nodes(nodes: &[panda_graph::NodeId]) -> &[CellId] {
 pub struct LocationPolicyGraph {
     grid: GridMap,
     dist: Arc<ComponentDistances>,
+    /// The interned component members as cells, in `dist`'s member order:
+    /// component `c` is `cells[dist.member_range(c)]`.
+    cells: Arc<[CellId]>,
     name: String,
 }
 
@@ -85,9 +77,14 @@ impl LocationPolicyGraph {
             max_table_entries,
             oracle_entries_per_node,
         ));
+        let cells = (0..dist.n_components())
+            .flat_map(|c| dist.members(c))
+            .map(|&v| CellId(v))
+            .collect();
         LocationPolicyGraph {
             grid,
             dist,
+            cells,
             name: name.into(),
         }
     }
@@ -351,7 +348,7 @@ impl LocationPolicyGraph {
     /// [`LocationPolicyGraph::component_cells`] on hot paths.
     #[inline]
     pub fn component_slice(&self, c: CellId) -> &[CellId] {
-        cells_of_nodes(self.dist.members_of(c.0))
+        &self.cells[self.dist.member_range(self.dist.component_of(c.0))]
     }
 
     /// All cells in the component of `c` (sorted), as an owned `Vec`.

@@ -230,7 +230,15 @@ impl ComponentDistances {
     /// allocation, unlike [`ComponentLabels::members`].
     #[inline]
     pub fn members(&self, c: u32) -> &[NodeId] {
-        &self.members[self.offsets[c as usize] as usize..self.offsets[c as usize + 1] as usize]
+        &self.members[self.member_range(c)]
+    }
+
+    /// Where component `c`'s members sit in the interned member order, so
+    /// a caller can keep a per-member array aligned with
+    /// [`ComponentDistances::members`].
+    #[inline]
+    pub fn member_range(&self, c: u32) -> std::ops::Range<usize> {
+        self.offsets[c as usize] as usize..self.offsets[c as usize + 1] as usize
     }
 
     /// The sorted members of the component containing `v`.

@@ -623,7 +623,7 @@ fn connection_cap_rejects_excess_clients() {
 
 /// The wire-scrapeable stats plane: a privileged client scrapes the
 /// gateway's merged exposition over live loopback TCP and sees the
-/// gateway, pipeline, pool, and per-stripe server counters move — while
+/// gateway, pipeline, index, and per-stripe server counters move — while
 /// the untrusted data plane refuses the same request.
 #[test]
 #[cfg_attr(
@@ -668,11 +668,10 @@ fn stats_scrape_over_the_wire() {
     };
     // One exposition carries every scope: the serving gateway's own
     // counters, the pipeline's, and the handles it adopted from its
-    // neighbours (index, pool, server stripes).
+    // neighbours (index, server stripes).
     assert!(text.contains("# TYPE panda_gateway_frames_total counter"));
     assert!(text.contains("panda_ingest_submitted_reports_total 100"));
     assert!(text.contains("panda_ingest_flush_ns_count"));
-    assert!(text.contains("panda_pool_busy_workers"));
     assert!(text.contains("panda_index_distribution_touches_total"));
     let striped: u64 = text
         .lines()

@@ -21,12 +21,13 @@
 //!   left the queue, so [`IngestHandle::queue_len`] can read up to
 //!   `max_batch` lower than the backlog the collector has not yet handled;
 //! * each flush releases through one shared [`PolicyIndex`] with the
-//!   release kernel bulk release uses ([`ParallelReleaser`]), over the
-//!   persistent release pool — the collector runs the last lane itself —
+//!   release kernel bulk release uses ([`panda_core::ParallelReleaser`])
 //!   and lands via `Server::receive_batch`. The collector keeps one
 //!   [`SamplerTable`] per policy, alive from one in-band switch to the
 //!   next, so each distinct cell resolves once per policy, not once per
-//!   flush;
+//!   flush. The table's release [`Lanes`] live in a thread scope beside
+//!   it: spawned with the policy, joined when the next one takes over. The
+//!   collector runs the last lane of each flush itself;
 //! * dropping or [`IngestPipeline::shutdown`]-ing the pipeline **drains**:
 //!   everything queued before shutdown is flushed before the collector
 //!   exits — no report is lost.
@@ -38,8 +39,8 @@
 //! in the queue order, or the position a routing tier stamped upstream).
 //! Batch boundaries therefore do not touch the sampling streams: for a
 //! fixed seed and a fixed arrival order the released cells are
-//! bit-identical regardless of flush timing, micro-batch sizes,
-//! release-lane count, or pool size.
+//! bit-identical regardless of flush timing, micro-batch sizes, or
+//! release-lane count.
 //!
 //! Caveats: (1) the *arrival order* is the contract — concurrent producers
 //! interleave nondeterministically, so cross-producer reproducibility
@@ -58,7 +59,8 @@
 use crate::protocol::LocationReport;
 use crate::server::Server;
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
-use panda_core::{Mechanism, ParallelReleaser, PolicyIndex, ReleasePool, SamplerTable};
+use panda_core::release::{default_parallelism, Lanes};
+use panda_core::{Mechanism, PolicyIndex, SamplerTable};
 use panda_geo::CellId;
 use panda_mobility::{Timestamp, UserId};
 use panda_obs::{clock, Counter, Gauge, Histogram, Registry};
@@ -121,9 +123,9 @@ pub struct IngestConfig {
     pub queue_capacity: usize,
     /// Maximum release lanes per flush, as in
     /// `ParallelReleaser::with_threads`. The collector thread runs the last
-    /// lane itself and pool workers take the others, so 1 releases wholly
-    /// inline and 2 hands one lane to the pool. Affects wall-clock only,
-    /// never the released cells.
+    /// lane itself and `release_threads − 1` helper threads per policy take
+    /// the others, so 1 releases wholly inline and 2 hands one lane to a
+    /// helper. Affects wall-clock only, never the released cells.
     pub release_threads: usize,
     /// ε per released report.
     pub eps: f64,
@@ -137,7 +139,7 @@ impl Default for IngestConfig {
             max_batch: 512,
             max_delay: Duration::from_millis(5),
             queue_capacity: 8192,
-            release_threads: panda_core::release::pool::default_parallelism(),
+            release_threads: default_parallelism(),
             eps: 1.0,
             seed: 0,
         }
@@ -292,8 +294,8 @@ impl IngestHandle {
 
     /// The pipeline's metric registry: the collector's ingest-side
     /// instruments (queue depth, flush size/latency, landed/rejected
-    /// counts) plus the `PolicyIndex` cache, release-pool and per-shard
-    /// server metrics registered through it. A gateway merges this with
+    /// counts) plus the `PolicyIndex` cache and per-shard server metrics
+    /// registered through it. A gateway merges this with
     /// its own registry when serving a scrape.
     pub fn metrics(&self) -> Arc<Registry> {
         Arc::clone(&self.registry)
@@ -313,7 +315,7 @@ impl IngestHandle {
 }
 
 /// The streaming ingest front end: one bounded queue, one collector thread,
-/// releases fanned over the shared [`ReleasePool`].
+/// releases fanned over the collector's [`Lanes`].
 pub struct IngestPipeline {
     tx: Sender<IngestMsg>,
     registry: Arc<Registry>,
@@ -329,33 +331,6 @@ impl IngestPipeline {
         mech: Arc<dyn Mechanism + Send + Sync>,
         config: IngestConfig,
     ) -> Self {
-        Self::spawn_inner(server, index, mech, config, None)
-    }
-
-    /// Like [`IngestPipeline::spawn`], but the pipeline releases over its
-    /// **own** [`ReleasePool`] instead of the process-wide
-    /// [`ReleasePool::global`]. A shard node running several pipelines in
-    /// one process (loopback clusters, tests, benches) gets isolated
-    /// release lanes this way — one node's flush storm cannot starve
-    /// another's. Released cells are identical either way (lane scheduling
-    /// never touches the per-report RNG streams).
-    pub fn spawn_on(
-        server: Arc<Server>,
-        index: Arc<PolicyIndex>,
-        mech: Arc<dyn Mechanism + Send + Sync>,
-        config: IngestConfig,
-        pool: Arc<ReleasePool>,
-    ) -> Self {
-        Self::spawn_inner(server, index, mech, config, Some(pool))
-    }
-
-    fn spawn_inner(
-        server: Arc<Server>,
-        index: Arc<PolicyIndex>,
-        mech: Arc<dyn Mechanism + Send + Sync>,
-        config: IngestConfig,
-        pool: Option<Arc<ReleasePool>>,
-    ) -> Self {
         let (tx, rx) = bounded::<IngestMsg>(config.queue_capacity.max(1));
         let registry = Arc::new(Registry::new());
         let collector = {
@@ -363,7 +338,7 @@ impl IngestPipeline {
             std::thread::Builder::new()
                 .name("panda-ingest".into())
                 .spawn(move || {
-                    Collector::new(server, &index, config, pool, registry).run(rx, index, mech)
+                    Collector::new(server, &index, config, registry).run(rx, index, mech)
                 })
                 .expect("spawn ingest collector")
         };
@@ -453,10 +428,12 @@ impl IngestMetrics {
 struct Collector {
     server: Arc<Server>,
     config: IngestConfig,
-    /// `None` → release over [`ReleasePool::global`].
-    pool: Option<Arc<ReleasePool>>,
     /// Sequenced entries pending in the current batch.
     pending: Vec<SequencedReport>,
+    /// The flush's `(seq, cell)` reports to draw and their drawn slots,
+    /// kept so that steady-state flushes reuse their buffers.
+    stamped: Vec<(u64, CellId)>,
+    drawn: Vec<Option<CellId>>,
     /// When the oldest pending report arrived (deadline anchor).
     oldest: Option<Instant>,
     next_seq: u64,
@@ -479,23 +456,20 @@ impl Collector {
         server: Arc<Server>,
         index: &PolicyIndex,
         config: IngestConfig,
-        pool: Option<Arc<ReleasePool>>,
         registry: Arc<Registry>,
     ) -> Self {
         let metrics = IngestMetrics::new(&registry);
         // Adopt the neighbouring components' handles into this pipeline's
-        // scrape scope: the index's cache counters, the release pool's
-        // occupancy, the server's per-stripe landing counters.
+        // scrape scope: the index's cache counters and the server's
+        // per-stripe landing counters.
         index.register_metrics(&registry);
         server.register_metrics(&registry);
-        pool.as_deref()
-            .unwrap_or_else(|| ReleasePool::global())
-            .register_metrics(&registry);
         Collector {
             server,
             config,
-            pool,
             pending: Vec::new(),
+            stamped: Vec::new(),
+            drawn: Vec::new(),
             oldest: None,
             next_seq: 0,
             stats: IngestStats::default(),
@@ -517,8 +491,15 @@ impl Collector {
         loop {
             // One sampler table per policy, alive from one in-band switch
             // to the next: no handle of an old index serves a later report.
+            // Its release lanes live in a scope beside it and are joined
+            // when it ends.
             let table = SamplerTable::new(&*mech, &index, self.config.eps);
-            let Some(next) = self.serve(&rx, &mut run, &table) else {
+            let (seed, n_lanes) = (self.config.seed, self.config.release_threads);
+            let next = std::thread::scope(|scope| {
+                let mut lanes = Lanes::spawn(scope, &table, seed, n_lanes);
+                self.serve(&rx, &mut run, &mut lanes)
+            });
+            let Some(next) = next else {
                 return self.stats;
             };
             index = next;
@@ -530,7 +511,7 @@ impl Collector {
         }
     }
 
-    /// Handles queue messages in arrival order under one policy's `table`
+    /// Handles queue messages in arrival order under one policy's `lanes`
     /// until a switch, flushing under the old policy first (the switch is a
     /// clean boundary in the landed stream) and returning the new index; or
     /// until a Stop, draining and returning `None`.
@@ -538,18 +519,18 @@ impl Collector {
         &mut self,
         rx: &Receiver<IngestMsg>,
         run: &mut VecDeque<IngestMsg>,
-        table: &SamplerTable<'_>,
+        lanes: &mut Lanes<'_, '_>,
     ) -> Option<Arc<PolicyIndex>> {
         loop {
             while let Some(msg) = run.pop_front() {
                 match msg {
-                    IngestMsg::Report(entry) => self.accept(entry, table),
+                    IngestMsg::Report(entry) => self.accept(entry, lanes),
                     IngestMsg::Switch(index) => {
-                        self.flush(FlushCause::Forced, table);
+                        self.flush(FlushCause::Forced, lanes);
                         return Some(index);
                     }
                     IngestMsg::Stop => {
-                        self.flush(FlushCause::Forced, table);
+                        self.flush(FlushCause::Forced, lanes);
                         return None;
                     }
                 }
@@ -574,13 +555,13 @@ impl Collector {
                 Some(deadline) => {
                     let now = clock::now();
                     if now >= deadline {
-                        self.flush(FlushCause::Deadline, table);
+                        self.flush(FlushCause::Deadline, lanes);
                         continue;
                     }
                     match rx.recv_timeout(deadline - now) {
                         Ok(msg) => msg,
                         Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
-                            self.flush(FlushCause::Deadline, table);
+                            self.flush(FlushCause::Deadline, lanes);
                             continue;
                         }
                         Err(crossbeam::channel::RecvTimeoutError::Disconnected) => IngestMsg::Stop,
@@ -596,13 +577,13 @@ impl Collector {
     }
 
     /// Sequences one report entry into the pending batch.
-    fn accept(&mut self, entry: Entry, table: &SamplerTable<'_>) {
+    fn accept(&mut self, entry: Entry, lanes: &mut Lanes<'_, '_>) {
         let (report, released) = match entry {
             Entry::Sequenced(s) => {
                 // Keep the local counter ahead of upstream stamps so a
                 // pipeline fed from both paths never reuses a stream.
                 self.next_seq = self.next_seq.max(s.seq.saturating_add(1));
-                self.push_entry(s, table);
+                self.push_entry(s, lanes);
                 return;
             }
             Entry::Pending(report) => (report, false),
@@ -624,60 +605,57 @@ impl Collector {
                 report,
                 released,
             },
-            table,
+            lanes,
         );
     }
 
     /// Appends one sequenced entry to the pending batch, counting it and
     /// firing a size flush at the threshold.
-    fn push_entry(&mut self, entry: SequencedReport, table: &SamplerTable<'_>) {
+    fn push_entry(&mut self, entry: SequencedReport, lanes: &mut Lanes<'_, '_>) {
         if self.pending.is_empty() {
             self.oldest = Some(clock::now());
         }
         self.pending.push(entry);
         self.stats.submitted += 1;
         if self.pending.len() >= self.config.max_batch {
-            self.flush(FlushCause::Size, table);
+            self.flush(FlushCause::Size, lanes);
         }
     }
 
     /// Releases the pending micro-batch through the release kernel
-    /// (per-report RNG streams, lanes fanned over the pipeline's pool,
-    /// handles from the policy's `table`) and lands it on the server.
-    fn flush(&mut self, cause: FlushCause, table: &SamplerTable<'_>) {
+    /// (per-report RNG streams, on the policy's `lanes`) and lands it on
+    /// the server.
+    fn flush(&mut self, cause: FlushCause, lanes: &mut Lanes<'_, '_>) {
         self.oldest = None;
         if self.pending.is_empty() {
             return;
         }
         let t0 = clock::now();
-        let batch = std::mem::take(&mut self.pending);
+        let n = self.pending.len();
         // One batched add instead of a per-report increment in
         // `push_entry`: the counter lags the local `stats.submitted` by at
         // most one pending micro-batch, and the collector's hot loop stays
         // free of per-report atomics.
-        self.metrics.submitted.add(batch.len() as u64);
-        self.metrics.flush_reports.record(batch.len() as u64);
+        self.metrics.submitted.add(n as u64);
+        self.metrics.flush_reports.record(n as u64);
         // `Released` entries land verbatim without drawing; the rest go
         // through the release kernel, keyed by their arrival seq.
-        let stamped: Vec<(u64, CellId)> = batch
-            .iter()
-            .filter(|e| !e.released)
-            .map(|e| (e.seq, e.report.cell))
-            .collect();
-        let pool = self
-            .pool
-            .as_deref()
-            .unwrap_or_else(|| ReleasePool::global());
-        let (drawn, _) = ParallelReleaser::with_threads(self.config.release_threads)
-            .release_stamped(pool, table, self.config.seed, &stamped);
-        let mut drawn = drawn.into_iter();
-        let mut landed = Vec::with_capacity(batch.len());
-        for entry in &batch {
+        self.stamped.clear();
+        self.stamped.extend(
+            self.pending
+                .iter()
+                .filter(|e| !e.released)
+                .map(|e| (e.seq, e.report.cell)),
+        );
+        lanes.release(&self.stamped, &mut self.drawn);
+        let mut drawn = self.drawn.iter();
+        let mut landed = Vec::with_capacity(n);
+        for entry in self.pending.drain(..) {
             let r = entry.report;
             let released = if entry.released {
                 Some(r.cell)
             } else {
-                drawn.next().expect("one draw per pending report")
+                *drawn.next().expect("one draw per pending report")
             };
             match released {
                 Some(cell) => landed.push(LocationReport {
@@ -712,7 +690,7 @@ impl Collector {
 mod tests {
     use super::*;
     use panda_core::release::chunk_rng;
-    use panda_core::{GraphExponential, LocationPolicyGraph};
+    use panda_core::{GraphExponential, LocationPolicyGraph, ParallelReleaser};
     use panda_geo::GridMap;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -1635,6 +1613,99 @@ mod tests {
     #[test]
     fn queue_slot_is_32_bytes() {
         assert_eq!(std::mem::size_of::<IngestMsg>(), 32);
+    }
+
+    /// Identity release whose sampler panics on one cell.
+    struct PanicOn(CellId);
+
+    static IDENTITY: panda_core::IdentityMechanism = panda_core::IdentityMechanism;
+
+    impl Mechanism for PanicOn {
+        fn name(&self) -> &'static str {
+            "panic-on"
+        }
+
+        fn perturb(
+            &self,
+            policy: &LocationPolicyGraph,
+            eps: f64,
+            true_loc: CellId,
+            rng: &mut dyn rand::RngCore,
+        ) -> Result<CellId, panda_core::PglpError> {
+            IDENTITY.perturb(policy, eps, true_loc, rng)
+        }
+
+        fn sampler<'a>(
+            &'a self,
+            index: &'a PolicyIndex,
+            eps: f64,
+            cell: CellId,
+        ) -> Result<panda_core::CellSampler<'a>, panda_core::PglpError> {
+            assert_ne!(cell, self.0, "sampler panic on {cell}");
+            IDENTITY.sampler(index, eps, cell)
+        }
+    }
+
+    /// A kernel panic on a helper's lane ends the collector without a
+    /// hang: `shutdown` re-raises it and later submits see `Closed`.
+    #[test]
+    fn helper_lane_panic_closes_the_pipeline() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let (server, index) = setup(4);
+            let bad = CellId(5);
+            let pipeline = IngestPipeline::spawn(
+                server,
+                index,
+                Arc::new(PanicOn(bad)),
+                IngestConfig {
+                    max_batch: 4,
+                    max_delay: Duration::from_secs(3600),
+                    release_threads: 2,
+                    ..Default::default()
+                },
+            );
+            let handle = pipeline.handle();
+            // One flush of four in two lanes of two: the helper takes the
+            // first lane, which holds the bad cell.
+            let reports: Vec<PendingReport> = [bad, CellId(1), CellId(2), CellId(3)]
+                .into_iter()
+                .zip(0..)
+                .map(|(cell, user)| PendingReport {
+                    user: UserId(user),
+                    epoch: 0,
+                    cell,
+                    resend: false,
+                })
+                .collect();
+            handle.submit(&reports).unwrap();
+            let shutdown = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                pipeline.shutdown();
+            }));
+            let message = shutdown
+                .err()
+                .and_then(|payload| payload.downcast_ref::<String>().cloned());
+            tx.send((
+                message,
+                handle.submit(&reports),
+                handle.try_submit(&reports),
+            ))
+            .unwrap();
+        });
+        let outcome = rx.recv_timeout(Duration::from_secs(60));
+        assert!(
+            !matches!(outcome, Err(std::sync::mpsc::RecvTimeoutError::Timeout)),
+            "a lane panic hung the pipeline"
+        );
+        worker.join().expect("the panic escaped catch_unwind");
+        let (message, submit, try_submit) = outcome.unwrap();
+        let message = message.expect("shutdown must panic");
+        assert!(
+            message.contains("ingest collector panicked"),
+            "unexpected panic: {message}"
+        );
+        assert_eq!(submit, Err(Closed));
+        assert_eq!(try_submit, Err(Closed));
     }
 
     /// Reports that cannot be released (foreign cell) are rejected and

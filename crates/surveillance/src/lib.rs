@@ -11,8 +11,8 @@
 //!   policies deliberately disclose.
 //! * [`ingest`] — the streaming front end: a bounded-queue pipeline that
 //!   micro-batches open-loop report streams (size/deadline flush policy,
-//!   backpressure), releases them over the persistent pool and lands them
-//!   on the server.
+//!   backpressure), releases them on lanes scoped to the current policy
+//!   and lands them on the server.
 //! * [`policy_config`] — the Location Policy Configuration module (Fig. 3):
 //!   recommends `Ga`/`Gb`/`Gc` per application and recomputes per-user
 //!   policies when diagnoses arrive.

@@ -9,7 +9,7 @@
 //! fans client streams across N of them by [`shard_of`].
 //!
 //! The single-process pipeline is the N=1 degenerate case: a node is a
-//! pipeline over its own release pool, and producers reach either one
+//! pipeline with its own release lanes, and producers reach either one
 //! through the same [`IngestHandle`] (`ShardNode::handle`), so the
 //! router's local backend, tests and benches run unchanged against
 //! either topology.
@@ -26,14 +26,14 @@
 
 use crate::ingest::{IngestConfig, IngestHandle, IngestPipeline, IngestStats};
 use crate::server::Server;
-use panda_core::{Mechanism, PolicyIndex, ReleasePool};
+use panda_core::{Mechanism, PolicyIndex};
 use panda_geo::GridMap;
 use panda_mobility::{Timestamp, TrajectoryDb};
 use std::sync::Arc;
 
 /// One shard's slice of the ingest stack: a [`Server`] holding only this
-/// shard's users, an [`IngestPipeline`] releasing over the node's **own**
-/// [`ReleasePool`] lanes, and the node's current policy index.
+/// shard's users, an [`IngestPipeline`] releasing on the node's **own**
+/// lanes, and the node's current policy index.
 ///
 /// Nodes are self-contained on purpose — each can run as its own process
 /// behind a `panda_net::IngestGateway`, or in-process as a router's local
@@ -41,30 +41,22 @@ use std::sync::Arc;
 pub struct ShardNode {
     server: Arc<Server>,
     pipeline: IngestPipeline,
-    // Dropped after the pipeline: flushes in flight borrow its workers.
-    _pool: Arc<ReleasePool>,
 }
 
 impl ShardNode {
     /// Spawns a node over `server`, releasing through `mech` under
     /// `index` on `release_threads` lanes: the collector runs the last
-    /// lane of each flush itself, so the node's dedicated pool has
-    /// `release_threads − 1` workers (at least one). The node owns its
-    /// lanes — one node's flush storm cannot starve another's.
+    /// lane of each flush itself and `release_threads − 1` helper threads
+    /// take the others. The node owns its lanes — one node's flush storm
+    /// cannot starve another's.
     pub fn spawn(
         server: Arc<Server>,
         index: Arc<PolicyIndex>,
         mech: Arc<dyn Mechanism + Send + Sync>,
         config: IngestConfig,
     ) -> Self {
-        let pool = Arc::new(ReleasePool::new(config.release_threads.saturating_sub(1)));
-        let pipeline =
-            IngestPipeline::spawn_on(Arc::clone(&server), index, mech, config, Arc::clone(&pool));
-        ShardNode {
-            server,
-            pipeline,
-            _pool: pool,
-        }
+        let pipeline = IngestPipeline::spawn(Arc::clone(&server), index, mech, config);
+        ShardNode { server, pipeline }
     }
 
     /// This node's server slice.

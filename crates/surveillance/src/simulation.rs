@@ -255,7 +255,7 @@ pub struct StreamingLog {
     /// Pipeline counters: landed/rejected reports, flush causes.
     pub stats: IngestStats,
     /// The pipeline's metric registry (flush latency and sizes, queue
-    /// depth, cache and pool instruments), read after the drain.
+    /// depth and cache instruments), read after the drain.
     pub metrics: Arc<Registry>,
     /// Reports submitted into the pipeline.
     pub submitted: usize,

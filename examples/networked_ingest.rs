@@ -107,9 +107,7 @@ fn main() {
         exposition.lines().count()
     );
     for line in exposition.lines().filter(|l| {
-        !l.starts_with('#')
-            && !l.contains("_bucket{")
-            && (l.starts_with("panda_ingest_") || l.starts_with("panda_pool_"))
+        !l.starts_with('#') && !l.contains("_bucket{") && l.starts_with("panda_ingest_")
     }) {
         println!("  {line}");
     }

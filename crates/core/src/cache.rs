@@ -13,10 +13,10 @@
 //! **single-flight**: concurrent misses on one key build its value once.
 
 use panda_check::ordered::{OrderedMutex, Rank};
+use panda_obs::Counter;
 // panda-check: allow(unordered_iter): key->slot lookup only; recency order lives in the slab list
 use std::collections::HashMap;
 use std::hash::Hash;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Sentinel for "no slot".
@@ -47,31 +47,25 @@ impl CacheStats {
     }
 }
 
-/// The live counts behind [`CacheStats`]: plain atomics the cache bumps
-/// itself, so they count with telemetry compiled out too, and shared so a
-/// metrics registry can read them (`Counter::reading`) while the cache
-/// keeps recording.
+/// The live counts behind [`CacheStats`]: [`Counter`]s the cache bumps
+/// itself and a metrics registry holds the same handles of, so
+/// [`CacheStats`] and a scrape read one cell each.
 #[derive(Debug, Default)]
 pub(crate) struct CacheCounters {
-    pub(crate) hits: Arc<AtomicU64>,
-    pub(crate) misses: Arc<AtomicU64>,
-    pub(crate) evictions: Arc<AtomicU64>,
+    pub(crate) hits: Counter,
+    pub(crate) misses: Counter,
+    pub(crate) evictions: Counter,
 }
 
 impl CacheCounters {
     /// The point-in-time POD view.
     fn snapshot(&self) -> CacheStats {
         CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
+            hits: self.hits.get(),
+            misses: self.misses.get(),
+            evictions: self.evictions.get(),
         }
     }
-}
-
-/// Adds one to a diagnostic count (relaxed: counts order nothing).
-pub(crate) fn bump(count: &AtomicU64) {
-    count.fetch_add(1, Ordering::Relaxed);
 }
 
 #[derive(Debug)]
@@ -131,7 +125,7 @@ impl<K: Eq + Hash + Clone, V: Clone> WeightedLru<K, V> {
         self.stats.snapshot()
     }
 
-    /// The live counter handles (for adoption into a metrics registry).
+    /// The live counter handles (for registration in a metrics registry).
     pub(crate) fn counters(&self) -> &CacheCounters {
         &self.stats
     }
@@ -173,10 +167,10 @@ impl<K: Eq + Hash + Clone, V: Clone> WeightedLru<K, V> {
     /// Looks up `key`, promoting it to most-recently-used on a hit.
     pub(crate) fn get(&mut self, key: &K) -> Option<V> {
         let Some(&slot) = self.map.get(key) else {
-            bump(&self.stats.misses);
+            self.stats.misses.inc();
             return None;
         };
-        bump(&self.stats.hits);
+        self.stats.hits.inc();
         if self.head != slot {
             self.unlink(slot);
             self.push_front(slot);
@@ -193,7 +187,7 @@ impl<K: Eq + Hash + Clone, V: Clone> WeightedLru<K, V> {
             self.map.remove(&self.slots[victim].key);
             self.weight -= self.slots[victim].weight;
             self.free.push(victim);
-            bump(&self.stats.evictions);
+            self.stats.evictions.inc();
         }
     }
 
@@ -284,7 +278,7 @@ impl<K: Eq + Hash + Clone, V: Clone> SharedLru<K, V> {
         let slot = {
             let mut state = self.state.lock();
             if let Some(slot) = state.building.get(&key).cloned() {
-                bump(&state.lru.counters().hits);
+                state.lru.counters().hits.inc();
                 drop(state);
                 // Parks until the builder is done (or builds, if it got here
                 // first: either way the slot runs exactly one `build`).
@@ -315,7 +309,7 @@ impl<K: Eq + Hash + Clone, V: Clone> SharedLru<K, V> {
 mod tests {
     use super::*;
     use panda_check::ordered::rank;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn concurrent_misses_on_one_key_build_once() {

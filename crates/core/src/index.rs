@@ -29,7 +29,7 @@
 //! thread-safe, so one index can serve concurrent report streams — this is
 //! what the concurrent [`crate::release::Lanes`] rely on.
 
-use crate::cache::{bump, CacheStats, SharedLru};
+use crate::cache::{CacheStats, SharedLru};
 use crate::mech::pim::PreparedHull;
 use crate::policy::LocationPolicyGraph;
 use panda_check::ordered::{rank, OrderedRwLock};
@@ -37,7 +37,6 @@ use panda_geo::CellId;
 use panda_obs::{Counter, Registry};
 use rand::Rng;
 use rand::RngCore;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Cache key: mechanism identity × ε (by bit pattern) × true location.
@@ -378,9 +377,8 @@ pub struct PolicyIndex {
     /// mutex acquisitions (a cold miss re-acquires the lock briefly to
     /// insert, still counted as the one touch its lookup was). The release
     /// engine's sampler table keeps this at one touch per distinct
-    /// `(mechanism, ε, cell)` per table; tests assert it. A plain atomic,
-    /// so it counts with telemetry compiled out too.
-    dist_touches: Arc<AtomicU64>,
+    /// `(mechanism, ε, cell)` per table; tests assert it.
+    dist_touches: Counter,
     /// `calibrations[component]`: `None` = not yet computed,
     /// `Some(None)` = singleton component (exact release),
     /// `Some(Some(len))` = longest policy edge in the component.
@@ -411,7 +409,7 @@ impl PolicyIndex {
             distributions: SharedLru::new(rank::INDEX_DISTRIBUTIONS, max_cached_entries),
             rings: SharedLru::new(rank::INDEX_RINGS, ring_budget),
             ring_budget,
-            dist_touches: Arc::default(),
+            dist_touches: Counter::new(),
             calibrations: OrderedRwLock::new(rank::INDEX_CALIBRATIONS, vec![None; n_components]),
             pim_hulls: [
                 OrderedRwLock::new(rank::INDEX_PIM_HULLS, vec![None; n_components]),
@@ -467,7 +465,7 @@ impl PolicyIndex {
         cell: CellId,
         build: impl FnOnce(&LocationPolicyGraph) -> Vec<(CellId, f64)>,
     ) -> Arc<SamplingTable> {
-        bump(&self.dist_touches);
+        self.dist_touches.inc();
         let key = DistKey {
             mech,
             eps_bits: eps.to_bits(),
@@ -486,7 +484,7 @@ impl PolicyIndex {
     /// shares one build. Concurrent misses on one cell build once. Counts
     /// as one touch, like [`PolicyIndex::distribution`].
     pub fn distance_row(&self, cell: CellId) -> Arc<DistanceRings> {
-        bump(&self.dist_touches);
+        self.dist_touches.inc();
         self.rings.get_or_build(
             cell,
             || Arc::new(DistanceRings::build(&self.policy, cell)),
@@ -539,17 +537,15 @@ impl PolicyIndex {
     /// table bounds it by the distinct cells per policy, where the
     /// per-report path paid one touch per report.
     pub fn distribution_cache_touches(&self) -> u64 {
-        self.dist_touches.load(Ordering::Relaxed)
+        self.dist_touches.get()
     }
 
-    /// Adopts the index's live cache counters into `registry` under
+    /// Registers the index's live cache counters in `registry` under
     /// `panda_index_*` names (adopt-replace: re-registering after a policy
     /// switch re-points the scrape plane at the new index's handles). The
     /// ring cache keeps the `row_cache` names of the row cache it replaced.
     pub fn register_metrics(&self, registry: &Registry) {
-        let adopt = |name: &str, count: &Arc<AtomicU64>| {
-            registry.register_counter(name, &Counter::reading(Arc::clone(count)));
-        };
+        let adopt = |name: &str, count: &Counter| registry.register_counter(name, count);
         adopt("panda_index_distribution_touches_total", &self.dist_touches);
         self.distributions.read(|lru| {
             let c = lru.counters();

@@ -28,7 +28,7 @@
 //! definition, so `gateway.shutdown()` followed by `pipeline.shutdown()`
 //! loses no acknowledged report.
 
-use crate::listener::{read, CoreStats, FrameService, Front, Listener, Outcome, Plane, Submission};
+use crate::listener::{CoreStats, FrameService, Front, Listener, Outcome, Plane, Submission};
 use crate::mailbox::Mailbox;
 use crate::wire::{clamp_stats_text, NackReason};
 use panda_core::{LocationPolicyGraph, PolicyIndex};
@@ -208,21 +208,21 @@ impl IngestGateway {
         Arc::clone(&self.listener.front().mailbox)
     }
 
-    /// A snapshot of the lifetime counters: plain reads of the cells the
-    /// scrape plane exposes, so they count with telemetry compiled out.
+    /// A snapshot of the lifetime counters: reads of the counters the
+    /// scrape plane exposes.
     pub fn stats(&self) -> GatewayStats {
         let core = &self.listener.front().core;
         GatewayStats {
-            connections: read(&core.connections),
-            rejected_connections: read(&core.rejected_connections),
-            dropped_connections: read(&core.dropped_connections),
-            frames: read(&core.frames),
-            reports_enqueued: read(&core.reports_accepted),
-            backpressure_nacks: read(&core.backpressure_nacks),
-            closed_nacks: read(&core.closed_nacks),
-            malformed_nacks: read(&core.malformed_nacks),
-            policy_switches: read(&core.policy_switches),
-            fetches_served: read(&core.fetches_served),
+            connections: core.connections.get(),
+            rejected_connections: core.rejected_connections.get(),
+            dropped_connections: core.dropped_connections.get(),
+            frames: core.frames.get(),
+            reports_enqueued: core.reports_accepted.get(),
+            backpressure_nacks: core.backpressure_nacks.get(),
+            closed_nacks: core.closed_nacks.get(),
+            malformed_nacks: core.malformed_nacks.get(),
+            policy_switches: core.policy_switches.get(),
+            fetches_served: core.fetches_served.get(),
         }
     }
 

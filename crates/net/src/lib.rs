@@ -39,8 +39,9 @@
 //! with [`Frame::StatsReply`] carrying the node's `panda-obs` metric
 //! exposition — frame counters, per-stage latency histograms, queue
 //! depths — merged across the gateway and its pipeline. The counts in
-//! [`GatewayStats`] and [`RouterStats`] are plain cells the registry reads,
-//! so they keep counting under `--cfg panda_obs_off`.
+//! [`GatewayStats`] and [`RouterStats`] are reads of the `panda_obs`
+//! counters the registry holds; counters keep counting under
+//! `--cfg panda_obs_off`, so a scrape's `*_total` lines do too.
 //! [`GatewayClient::stats`] is the client side;
 //! [`IngestGateway::metrics_dump`] / [`ShardRouter::metrics_dump`] the
 //! in-process equivalents. Telemetry reads the clock only through

@@ -32,7 +32,7 @@ use panda_surveillance::ingest::{PendingReport, SequencedReport};
 use panda_surveillance::protocol::LocationReport;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -110,23 +110,23 @@ pub(crate) trait FrameService: Send + Sync + 'static {
     fn metrics_text(&self) -> String;
 }
 
-/// The counters both tiers keep. Each is a plain cell, so it counts under
-/// `--cfg panda_obs_off` too; the registry reads the same cells.
+/// The counters both tiers keep. The registry holds the same handles, so
+/// a tier's stats snapshot and its scrape read one copy of each count.
 #[derive(Default)]
 pub(crate) struct CoreStats {
-    pub connections: Arc<AtomicU64>,
-    pub rejected_connections: Arc<AtomicU64>,
-    pub dropped_connections: Arc<AtomicU64>,
-    pub frames: Arc<AtomicU64>,
+    pub connections: Counter,
+    pub rejected_connections: Counter,
+    pub dropped_connections: Counter,
+    pub frames: Counter,
     /// Reports accepted downstream by submission frames (and acked).
-    pub reports_accepted: Arc<AtomicU64>,
-    pub backpressure_nacks: Arc<AtomicU64>,
-    pub closed_nacks: Arc<AtomicU64>,
-    pub malformed_nacks: Arc<AtomicU64>,
+    pub reports_accepted: Counter,
+    pub backpressure_nacks: Counter,
+    pub closed_nacks: Counter,
+    pub malformed_nacks: Counter,
     /// Policy switches the service applied.
-    pub policy_switches: Arc<AtomicU64>,
+    pub policy_switches: Counter,
     /// Fetches answered with a pending [`ServerMessage`].
-    pub fetches_served: Arc<AtomicU64>,
+    pub fetches_served: Counter,
     /// End-to-end latency of handling one decoded frame (dispatch through
     /// reply encode), in nanoseconds. Telemetry.
     pub frame_ns: Histogram,
@@ -137,7 +137,7 @@ impl CoreStats {
     /// `panda_<component>_<what>` (`component` is `gateway` or `router`).
     /// `accepted` names [`CoreStats::reports_accepted`] for the tier.
     pub fn register_into(&self, registry: &Registry, component: &str, accepted: &str) {
-        let cells = [
+        let counters = [
             ("connections_total", &self.connections),
             ("rejected_connections_total", &self.rejected_connections),
             ("dropped_connections_total", &self.dropped_connections),
@@ -149,24 +149,11 @@ impl CoreStats {
             ("policy_switches_total", &self.policy_switches),
             ("fetches_served_total", &self.fetches_served),
         ];
-        for (what, cell) in cells {
-            registry.register_counter(
-                &format!("panda_{component}_{what}"),
-                &Counter::reading(Arc::clone(cell)),
-            );
+        for (what, counter) in counters {
+            registry.register_counter(&format!("panda_{component}_{what}"), counter);
         }
         registry.register_histogram(&format!("panda_{component}_frame_ns"), &self.frame_ns);
     }
-}
-
-/// Adds `n` to a plain counter cell.
-pub(crate) fn bump(cell: &AtomicU64, n: u64) {
-    cell.fetch_add(n, Ordering::Relaxed);
-}
-
-/// Reads a plain counter cell.
-pub(crate) fn read(cell: &AtomicU64) -> u64 {
-    cell.load(Ordering::Relaxed)
 }
 
 /// What every connection of a listener shares: the tier's service, the
@@ -205,14 +192,14 @@ impl<S: FrameService> Front<S> {
             Frame::SwitchPolicy(policy) => {
                 let outcome = self.service.switch_policy(policy);
                 if outcome.is_ok() {
-                    bump(&self.core.policy_switches, 1);
+                    self.core.policy_switches.inc();
                 }
                 outcome
             }
             Frame::Fetch { user } => {
                 let reply = match self.mailbox.fetch(user) {
                     Some(msg) => {
-                        bump(&self.core.fetches_served, 1);
+                        self.core.fetches_served.inc();
                         msg.into_frame()
                     }
                     None => Frame::Ack { accepted: 0 },
@@ -253,18 +240,18 @@ impl<S: FrameService> Front<S> {
         let core = &self.core;
         let (Ok(accepted) | Err((_, accepted))) = outcome;
         if accepted > 0 {
-            bump(&core.reports_accepted, accepted as u64);
+            core.reports_accepted.add(accepted as u64);
         }
         let accepted = accepted as u32;
         let (reply, disposition) = match outcome {
             Ok(_) => (Frame::Ack { accepted }, Disposition::Continue),
             Err((reason, _)) => {
-                let (cell, disposition) = match reason {
+                let (counter, disposition) = match reason {
                     NackReason::Backpressure => (&core.backpressure_nacks, Disposition::Continue),
                     NackReason::Closed => (&core.closed_nacks, Disposition::Continue),
                     NackReason::Malformed => (&core.malformed_nacks, Disposition::Drop),
                 };
-                bump(cell, 1);
+                counter.inc();
                 (Frame::Nack { reason, accepted }, disposition)
             }
         };
@@ -416,7 +403,7 @@ fn accept_loop<S: FrameService>(
         // The connection cap: a thread + buffers per connection must not
         // be mintable without bound by whoever can reach the port.
         if live.len() >= config.max_connections.max(1) {
-            bump(&core.rejected_connections, 1);
+            core.rejected_connections.inc();
             *registry = live;
             drop(registry);
             drop(stream);
@@ -430,14 +417,14 @@ fn accept_loop<S: FrameService>(
         };
         match spawned {
             Ok(handler) => {
-                bump(&core.connections, 1);
+                core.connections.inc();
                 live.push(handler);
             }
             // Thread exhaustion is the same resource pressure as the
             // connection cap: refuse this connection (the stream moved
             // into the failed closure and is already gone), keep serving.
             Err(_) => {
-                bump(&core.rejected_connections, 1);
+                core.rejected_connections.inc();
             }
         }
         *registry = live;
@@ -508,7 +495,7 @@ fn serve_connection<S: FrameService>(
             // just to have it refused.
             match decoder.next_frame_permitted(|t| config.plane.permits(t)) {
                 Ok(Some(frame)) => {
-                    bump(&front.core.frames, 1);
+                    front.core.frames.inc();
                     disposition = front
                         .core
                         .frame_ns
@@ -550,7 +537,7 @@ fn serve_connection<S: FrameService>(
         }
     }
     if dropped {
-        bump(&front.core.dropped_connections, 1);
+        front.core.dropped_connections.inc();
     }
     let _ = stream.shutdown(std::net::Shutdown::Both);
 }

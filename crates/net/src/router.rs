@@ -45,9 +45,7 @@
 
 use crate::client::{ClientError, GatewayClient};
 use crate::gateway::GatewayConfig;
-use crate::listener::{
-    bump, read, CoreStats, FrameService, Front, Listener, Outcome, Plane, Submission,
-};
+use crate::listener::{CoreStats, FrameService, Front, Listener, Outcome, Plane, Submission};
 use crate::mailbox::Mailbox;
 use crate::wire::{clamp_stats_text, NackReason, MAX_REPORTS_PER_FRAME};
 use panda_check::ordered::{rank, OrderedMutex};
@@ -143,8 +141,8 @@ struct RouterService {
     /// a whole broadcast, serializing concurrent switches — which nests
     /// the backend-link locks inside it, hence its lower rank.
     current_policy: OrderedMutex<Option<LocationPolicyGraph>>,
-    fanout_batches: Arc<AtomicU64>,
-    policy_rollbacks: Arc<AtomicU64>,
+    fanout_batches: Counter,
+    policy_rollbacks: Counter,
     /// Size in reports of each stamped sub-batch forwarded downstream —
     /// the fan-out shape (how well client batches pack per shard).
     fanout_batch_reports: Histogram,
@@ -203,8 +201,8 @@ impl ShardRouter {
             backends,
             next_seq: AtomicU64::new(0),
             current_policy: OrderedMutex::new(rank::ROUTER_POLICY, None),
-            fanout_batches: Arc::default(),
-            policy_rollbacks: Arc::default(),
+            fanout_batches: Counter::new(),
+            policy_rollbacks: Counter::new(),
             fanout_batch_reports: Histogram::default(),
             ack_prefix_stalls: Counter::default(),
             registry: Registry::new(),
@@ -272,23 +270,22 @@ impl ShardRouter {
     }
 
     /// A snapshot of the lifetime counters (both planes aggregated):
-    /// plain reads of the cells the scrape plane exposes, so they count
-    /// with telemetry compiled out.
+    /// reads of the counters the scrape plane exposes.
     pub fn stats(&self) -> RouterStats {
         let Front { service, core, .. } = &**self.data.front();
         RouterStats {
-            connections: read(&core.connections),
-            rejected_connections: read(&core.rejected_connections),
-            dropped_connections: read(&core.dropped_connections),
-            frames: read(&core.frames),
-            reports_routed: read(&core.reports_accepted),
-            fanout_batches: read(&service.fanout_batches),
-            backpressure_nacks: read(&core.backpressure_nacks),
-            closed_nacks: read(&core.closed_nacks),
-            malformed_nacks: read(&core.malformed_nacks),
-            policy_switches: read(&core.policy_switches),
-            policy_rollbacks: read(&service.policy_rollbacks),
-            fetches_served: read(&core.fetches_served),
+            connections: core.connections.get(),
+            rejected_connections: core.rejected_connections.get(),
+            dropped_connections: core.dropped_connections.get(),
+            frames: core.frames.get(),
+            reports_routed: core.reports_accepted.get(),
+            fanout_batches: service.fanout_batches.get(),
+            backpressure_nacks: core.backpressure_nacks.get(),
+            closed_nacks: core.closed_nacks.get(),
+            malformed_nacks: core.malformed_nacks.get(),
+            policy_switches: core.policy_switches.get(),
+            policy_rollbacks: service.policy_rollbacks.get(),
+            fetches_served: core.fetches_served.get(),
         }
     }
 
@@ -354,7 +351,7 @@ impl FrameService for RouterService {
                     for rolled in self.backends.iter().take(i) {
                         let _ = rolled.switch_policy(previous);
                     }
-                    bump(&self.policy_rollbacks, 1);
+                    self.policy_rollbacks.inc();
                 }
                 return Err((reason, 0));
             }
@@ -372,13 +369,10 @@ impl RouterService {
     /// Registers the router's own instruments next to the core ones.
     fn register_into(&self) {
         let registry = &self.registry;
-        registry.register_counter(
-            "panda_router_fanout_batches_total",
-            &Counter::reading(Arc::clone(&self.fanout_batches)),
-        );
+        registry.register_counter("panda_router_fanout_batches_total", &self.fanout_batches);
         registry.register_counter(
             "panda_router_policy_rollbacks_total",
-            &Counter::reading(Arc::clone(&self.policy_rollbacks)),
+            &self.policy_rollbacks,
         );
         registry.register_histogram(
             "panda_router_fanout_batch_reports",
@@ -441,7 +435,7 @@ impl RouterService {
                 .chunks(MAX_REPORTS_PER_FRAME)
                 .zip(slots_per_shard[shard].chunks(MAX_REPORTS_PER_FRAME))
             {
-                bump(&self.fanout_batches, 1);
+                self.fanout_batches.inc();
                 self.fanout_batch_reports.record(chunk.len() as u64);
                 match self.backends[shard].submit_sequenced(chunk) {
                     Ok(n) => {

@@ -626,10 +626,6 @@ fn connection_cap_rejects_excess_clients() {
 /// gateway, pipeline, index, and per-stripe server counters move — while
 /// the untrusted data plane refuses the same request.
 #[test]
-#[cfg_attr(
-    panda_obs_off,
-    ignore = "waits on panda_ingest_landed_reports_total, which is telemetry"
-)]
 fn stats_scrape_over_the_wire() {
     let (_server, index) = setup(16);
     let pipeline = IngestPipeline::spawn(

@@ -8,11 +8,13 @@
 //!
 //! ## Hot-path cost
 //!
-//! Recording is one or two relaxed atomic RMWs — no locks, no allocation.
+//! Recording is one or two atomic RMWs — no locks, no allocation.
 //! The registry lock is touched only at registration and snapshot time
 //! (both cold). Building with `RUSTFLAGS="--cfg panda_obs_off"` compiles
-//! every recording operation down to a no-op, which is how the
+//! every gauge and histogram operation down to a no-op, which is how the
 //! `bench_release --telemetry` section measures instrumentation overhead.
+//! Counters always count: a [`Counter`] is the one copy of every count
+//! the program reads back, so it cannot be telemetry-only.
 //!
 //! ## Determinism contract
 //!

@@ -2,14 +2,21 @@
 //!
 //! All three are cheap cloneable handles over shared atomics, so a
 //! component can keep its own handle for hot-path recording while a
-//! [`crate::Registry`] holds another for snapshotting. Recording is
-//! relaxed-ordering only — metrics are monitoring facts, not
-//! synchronisation edges.
+//! [`crate::Registry`] holds another for snapshotting.
+//!
+//! A [`Counter`] always counts, also under `--cfg panda_obs_off`: it is
+//! the one counter type, so a count the program reads back (a shutdown
+//! total, a stats snapshot) and the count a scrape shows are the same
+//! cell. It adds with `Release` and reads with `Acquire`, so a count
+//! bumped after the rows it counts never runs ahead of them. [`Gauge`]
+//! and [`Histogram`] are relaxed monitoring facts and compile out under
+//! the cfg.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// A monotonically increasing event counter.
+/// A monotonically increasing event counter. Counts under
+/// `--cfg panda_obs_off` too (see the module doc).
 #[derive(Clone, Debug, Default)]
 pub struct Counter {
     inner: Arc<AtomicU64>,
@@ -21,32 +28,23 @@ impl Counter {
         Self::default()
     }
 
-    /// A counter that reads `cell`, a count its owner bumps itself. The
-    /// owner's increments count under `--cfg panda_obs_off` too, so state
-    /// the program needs can be scraped without living in telemetry.
-    pub fn reading(cell: Arc<AtomicU64>) -> Self {
-        Counter { inner: cell }
-    }
-
     /// Adds one.
     #[inline]
     pub fn inc(&self) {
         self.add(1);
     }
 
-    /// Adds `n`.
+    /// Adds `n`; whatever was written before the add is visible to a
+    /// [`Counter::get`] that reads the new value.
     #[inline]
     pub fn add(&self, n: u64) {
-        #[cfg(not(panda_obs_off))]
-        self.inner.fetch_add(n, Ordering::Relaxed);
-        #[cfg(panda_obs_off)]
-        let _ = n;
+        self.inner.fetch_add(n, Ordering::Release);
     }
 
     /// The current value.
     #[inline]
     pub fn get(&self) -> u64 {
-        self.inner.load(Ordering::Relaxed)
+        self.inner.load(Ordering::Acquire)
     }
 }
 
@@ -304,8 +302,9 @@ impl HistogramSnapshot {
 mod tests {
     use super::*;
 
+    /// Runs under `--cfg panda_obs_off` too: counters never compile out.
     #[test]
-    fn counter_and_gauge_basics() {
+    fn counter_counts_and_handles_share_the_cell() {
         let c = Counter::new();
         c.inc();
         c.add(41);
@@ -314,7 +313,16 @@ mod tests {
         let c2 = c.clone();
         c2.inc();
         assert_eq!(c.get(), 43);
+        // So does the handle a registry holds.
+        let registry = crate::Registry::new();
+        registry.register_counter("c_total", &c);
+        c.inc();
+        assert_eq!(registry.snapshot().counter("c_total"), Some(44));
+        assert_eq!(registry.counter("c_total").get(), 44);
+    }
 
+    #[test]
+    fn gauge_basics() {
         let g = Gauge::new();
         g.set(7);
         g.inc();

@@ -13,6 +13,7 @@ use panda_geo::CellId;
 use panda_mobility::{Timestamp, UserId};
 use rand::RngCore;
 use std::collections::VecDeque;
+use std::ops::RangeBounds;
 
 /// How the user decides whether to accept a recommended policy (§2.1 gives
 /// the user the right to reject).
@@ -190,19 +191,11 @@ impl Client {
         let Some(cell) = self.true_location(epoch) else {
             return Err(PglpError::LocationOutOfDomain(CellId(u32::MAX)));
         };
-        let policy = self.index.policy();
-        policy.check_cell(cell)?;
-        // Isolated cells release exactly and are free (parallel to
-        // Lemma 2.1's unconstrained case); everything else costs ε.
-        if !policy.is_isolated_cell(cell) {
-            if !self.ledger.can_afford(self.eps_per_epoch) {
-                return Err(PglpError::BudgetExhausted {
-                    requested: self.eps_per_epoch,
-                    remaining: self.ledger.remaining(),
-                });
-            }
-            self.ledger
-                .charge(epoch as u64, policy.name(), self.eps_per_epoch)?;
+        if !self.charge(epoch, cell)? {
+            return Err(PglpError::BudgetExhausted {
+                requested: self.eps_per_epoch,
+                remaining: self.ledger.remaining(),
+            });
         }
         // The indexed path serves repeat visits to the same cell from a
         // cached sampling table instead of rebuilding the distribution.
@@ -236,24 +229,12 @@ impl Client {
     /// which is distributionally identical to the per-epoch `report` loop.
     pub fn plan_routine(&mut self, horizon: Timestamp) -> (Vec<(Timestamp, CellId)>, bool) {
         let mut plan = Vec::new();
-        let policy = self.index.policy();
-        for &(t, cell) in self.history.iter().filter(|&&(t, _)| t < horizon) {
-            if policy.check_cell(cell).is_err() {
-                break;
+        for (t, cell) in self.retained(..horizon) {
+            match self.charge(t, cell) {
+                Ok(true) => plan.push((t, cell)),
+                Ok(false) => return (plan, true),
+                Err(_) => break,
             }
-            if !policy.is_isolated_cell(cell) {
-                if !self.ledger.can_afford(self.eps_per_epoch) {
-                    return (plan, true);
-                }
-                if self
-                    .ledger
-                    .charge(t as u64, policy.name(), self.eps_per_epoch)
-                    .is_err()
-                {
-                    return (plan, true);
-                }
-            }
-            plan.push((t, cell));
         }
         (plan, false)
     }
@@ -288,27 +269,47 @@ impl Client {
             return Ok(None); // consent refused: nothing re-sent
         }
         // Charge the ledger epoch by epoch, keeping the prefix the budget
-        // covers (isolated cells disclose exactly and are free).
-        let epochs: Vec<(Timestamp, CellId)> = self
-            .history
-            .iter()
-            .copied()
-            .filter(|&(t, _)| t >= request.from && t < request.to)
-            .collect();
-        let policy = self.index.policy();
+        // covers.
+        let epochs = self.retained(request.from..request.to);
         let mut affordable = Vec::with_capacity(epochs.len());
         for (t, cell) in epochs {
-            policy.check_cell(cell)?;
-            if !policy.is_isolated_cell(cell) {
-                if !self.ledger.can_afford(self.eps_per_epoch) {
-                    break; // stop re-sending when the budget runs dry
-                }
-                self.ledger
-                    .charge(t as u64, policy.name(), self.eps_per_epoch)?;
+            if !self.charge(t, cell)? {
+                break; // stop re-sending when the budget runs dry
             }
             affordable.push((t, cell));
         }
         Ok(Some(affordable))
+    }
+
+    /// The retained `(epoch, true cell)` pairs with epochs in `epochs`,
+    /// in epoch order.
+    fn retained(&self, epochs: impl RangeBounds<Timestamp>) -> Vec<(Timestamp, CellId)> {
+        self.history
+            .iter()
+            .copied()
+            .filter(|(t, _)| epochs.contains(t))
+            .collect()
+    }
+
+    /// The one charge rule: pays ε from the ledger for releasing `cell`
+    /// at `epoch` under the policy in force. `Ok(true)` once paid, and
+    /// at once for an isolated cell, which releases exactly and is free
+    /// (parallel to Lemma 2.1's unconstrained case); `Ok(false)`, with
+    /// nothing charged, when the budget cannot cover ε: the ledger refuses
+    /// exactly what [`BudgetLedger::can_afford`] rejects, a non-positive ε
+    /// included.
+    ///
+    /// # Errors
+    ///
+    /// A cell outside the policy's domain.
+    fn charge(&mut self, epoch: Timestamp, cell: CellId) -> Result<bool, PglpError> {
+        let policy = self.index.policy();
+        policy.check_cell(cell)?;
+        Ok(policy.is_isolated_cell(cell)
+            || self
+                .ledger
+                .charge(epoch as u64, policy.name(), self.eps_per_epoch)
+                .is_ok())
     }
 
     /// Releases a planned re-send: one indexed bulk perturbation of the

@@ -147,8 +147,12 @@ impl Default for IngestConfig {
 }
 
 /// Counters of a pipeline's lifetime, returned by
-/// [`IngestPipeline::shutdown`]. Flush latency lives in the registry's
-/// `panda_ingest_flush_ns` histogram ([`IngestHandle::metrics`]).
+/// [`IngestPipeline::shutdown`]. Submitted, landed, rejected, batches and
+/// policy switches are read from the registry's `panda_ingest_*_total`
+/// counters ([`IngestHandle::metrics`]), their one copy, so a scrape
+/// after shutdown reads the same numbers; the flush-cause tallies are
+/// the collector's own. Flush latency lives in the registry's
+/// `panda_ingest_flush_ns` histogram.
 #[derive(Debug, Clone, Default)]
 pub struct IngestStats {
     /// Reports that entered the collector.
@@ -293,10 +297,11 @@ impl IngestHandle {
     }
 
     /// The pipeline's metric registry: the collector's ingest-side
-    /// instruments (queue depth, flush size/latency, landed/rejected
-    /// counts) plus the `PolicyIndex` cache and per-shard server metrics
-    /// registered through it. A gateway merges this with
-    /// its own registry when serving a scrape.
+    /// instruments (queue depth, flush size/latency, and the submitted,
+    /// landed, rejected, batch and switch counters [`IngestStats`] is read
+    /// from) plus the `PolicyIndex` cache and per-shard server counters
+    /// registered in it. A gateway merges this with its own registry when
+    /// serving a scrape.
     pub fn metrics(&self) -> Arc<Registry> {
         Arc::clone(&self.registry)
     }
@@ -388,9 +393,9 @@ impl Drop for IngestPipeline {
     }
 }
 
-/// The collector's registry-backed instruments — recorded alongside the
-/// plain [`IngestStats`] collector-thread tallies, which stay the
-/// shutdown return value (and keep working under `--cfg panda_obs_off`).
+/// The collector's registry-backed instruments. The counters are the only
+/// copy of what [`IngestStats`] reports for them; the gauge and the
+/// histograms compile out under `--cfg panda_obs_off`.
 struct IngestMetrics {
     /// Messages on the bounded queue, sampled at batch boundaries (at
     /// most one micro-batch stale; per-message updates cost real
@@ -400,8 +405,8 @@ struct IngestMetrics {
     flush_reports: Histogram,
     /// Wall-clock latency of one flush (release + server landing), ns.
     flush_ns: Histogram,
-    /// Recorded per flush, not per push (lags `IngestStats::submitted` by
-    /// at most the pending batch).
+    /// Recorded per flush, not per push: lags the collector's intake by
+    /// at most the pending batch, and is exact once a flush drains it.
     submitted: Counter,
     landed: Counter,
     rejected: Counter,
@@ -424,7 +429,7 @@ impl IngestMetrics {
     }
 }
 
-/// The collector-thread state: pending micro-batch plus lifetime stats.
+/// The collector-thread state: pending micro-batch plus lifetime counts.
 struct Collector {
     server: Arc<Server>,
     config: IngestConfig,
@@ -437,7 +442,8 @@ struct Collector {
     /// When the oldest pending report arrived (deadline anchor).
     oldest: Option<Instant>,
     next_seq: u64,
-    stats: IngestStats,
+    /// Flushes by [`FlushCause`], indexed by `cause as usize`.
+    flushes: [usize; 3],
     metrics: IngestMetrics,
     /// Kept to re-register a switched-in index's cache handles.
     registry: Arc<Registry>,
@@ -472,7 +478,7 @@ impl Collector {
             drawn: Vec::new(),
             oldest: None,
             next_seq: 0,
-            stats: IngestStats::default(),
+            flushes: [0; 3],
             metrics,
             registry,
         }
@@ -500,14 +506,30 @@ impl Collector {
                 self.serve(&rx, &mut run, &mut lanes)
             });
             let Some(next) = next else {
-                return self.stats;
+                return self.stats();
             };
             index = next;
             // Re-point the scrape plane at the new index's cache handles
             // (adopt-replace by name).
             index.register_metrics(&self.registry);
-            self.stats.policy_switches += 1;
             self.metrics.policy_switches.inc();
+        }
+    }
+
+    /// The lifetime counts, read once the final drain has flushed the
+    /// pending batch (so `submitted` is exact).
+    fn stats(&self) -> IngestStats {
+        let m = &self.metrics;
+        let [size_flushes, deadline_flushes, forced_flushes] = self.flushes;
+        IngestStats {
+            submitted: m.submitted.get() as usize,
+            landed: m.landed.get() as usize,
+            rejected: m.rejected.get() as usize,
+            batches: m.batches.get() as usize,
+            size_flushes,
+            deadline_flushes,
+            forced_flushes,
+            policy_switches: m.policy_switches.get() as usize,
         }
     }
 
@@ -609,14 +631,13 @@ impl Collector {
         );
     }
 
-    /// Appends one sequenced entry to the pending batch, counting it and
-    /// firing a size flush at the threshold.
+    /// Appends one sequenced entry to the pending batch, firing a size
+    /// flush at the threshold.
     fn push_entry(&mut self, entry: SequencedReport, lanes: &mut Lanes<'_, '_>) {
         if self.pending.is_empty() {
             self.oldest = Some(clock::now());
         }
         self.pending.push(entry);
-        self.stats.submitted += 1;
         if self.pending.len() >= self.config.max_batch {
             self.flush(FlushCause::Size, lanes);
         }
@@ -633,9 +654,8 @@ impl Collector {
         let t0 = clock::now();
         let n = self.pending.len();
         // One batched add instead of a per-report increment in
-        // `push_entry`: the counter lags the local `stats.submitted` by at
-        // most one pending micro-batch, and the collector's hot loop stays
-        // free of per-report atomics.
+        // `push_entry`: the collector's hot loop stays free of per-report
+        // atomics.
         self.metrics.submitted.add(n as u64);
         self.metrics.flush_reports.record(n as u64);
         // `Released` entries land verbatim without drawing; the rest go
@@ -657,31 +677,25 @@ impl Collector {
             } else {
                 *drawn.next().expect("one draw per pending report")
             };
-            match released {
-                Some(cell) => landed.push(LocationReport {
+            if let Some(cell) = released {
+                landed.push(LocationReport {
                     user: r.user,
                     epoch: r.epoch,
                     cell,
                     resend: r.resend,
-                }),
-                None => {
-                    self.stats.rejected += 1;
-                    self.metrics.rejected.inc();
-                }
+                });
             }
         }
-        self.stats.landed += landed.len();
-        self.metrics.landed.add(landed.len() as u64);
-        if !landed.is_empty() {
+        let n_landed = landed.len();
+        if n_landed > 0 {
             self.server.receive_batch(landed);
         }
-        self.stats.batches += 1;
+        // Counted after landing: a landed count never runs ahead of the
+        // server's rows.
+        self.metrics.landed.add(n_landed as u64);
+        self.metrics.rejected.add((n - n_landed) as u64);
         self.metrics.batches.inc();
-        match cause {
-            FlushCause::Size => self.stats.size_flushes += 1,
-            FlushCause::Deadline => self.stats.deadline_flushes += 1,
-            FlushCause::Forced => self.stats.forced_flushes += 1,
-        }
+        self.flushes[cause as usize] += 1;
         self.metrics.flush_ns.record(clock::ns_since(t0));
     }
 }
@@ -1715,12 +1729,16 @@ mod tests {
         let (server, index) = setup(4);
         let pipeline = IngestPipeline::spawn(
             Arc::clone(&server),
-            index,
+            Arc::clone(&index),
             Arc::new(GraphExponential),
             IngestConfig::default(),
         );
         let handle = pipeline.handle();
+        let registry = pipeline.metrics();
         for i in 0..10u32 {
+            if i == 5 {
+                handle.switch_policy(Arc::clone(&index)).unwrap();
+            }
             handle
                 .submit(&[PendingReport {
                     user: UserId(i),
@@ -1738,6 +1756,30 @@ mod tests {
         let stats = pipeline.shutdown();
         assert_eq!(stats.rejected, 4);
         assert_eq!(stats.landed, 6);
+        assert_eq!(stats.policy_switches, 1);
         assert_eq!(server.n_received(), 6);
+        // The shutdown totals and a scrape read one copy of each count,
+        // with telemetry compiled out too.
+        let snapshot = registry.snapshot();
+        let scraped = |name: &str| {
+            let value = snapshot.counter(&format!("panda_ingest_{name}_total"));
+            value.expect("registered") as usize
+        };
+        assert_eq!(
+            (
+                stats.submitted,
+                stats.landed,
+                stats.rejected,
+                stats.batches,
+                stats.policy_switches
+            ),
+            (
+                scraped("submitted_reports"),
+                scraped("landed_reports"),
+                scraped("rejected_reports"),
+                scraped("batches"),
+                scraped("policy_switches")
+            )
+        );
     }
 }

@@ -10,10 +10,11 @@
 //!   locks each touched shard **once**, which is how the release kernel's
 //!   output lands, from a bulk `panda_core::release::ParallelReleaser`
 //!   release and from every ingest flush alike;
-//! * ingest counters are per-shard atomics (no lock at all), aggregated on
-//!   read. They are plain state, not telemetry, so they count with
-//!   `--cfg panda_obs_off` too, and each is bumped only after its rows are
-//!   written: a reader that sees a count can read the rows behind it;
+//! * ingest counters are per-shard [`Counter`]s (no lock at all),
+//!   aggregated on read; a registry scrape reads the same handles. Each is
+//!   bumped only after its rows are written, and a counter adds with
+//!   `Release` and reads with `Acquire`: a reader that sees a count can
+//!   read the rows behind it;
 //! * low-volume epidemiological facts (diagnoses, infected visits) stay
 //!   under a single `RwLock` — they arrive out of band, not on the ingest
 //!   hot path.
@@ -44,8 +45,6 @@ use panda_check::ordered::{rank, OrderedRwLock};
 use panda_geo::{CellId, GridMap};
 use panda_mobility::{Timestamp, Trajectory, TrajectoryDb, UserId};
 use panda_obs::{Counter, Registry};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 // Per-user stores are keyed by UserId; every read path (users,
 // reported_db) sorts before exposing an iteration order.
 // panda-check: allow(unordered_iter): read paths sort first
@@ -83,12 +82,11 @@ struct Shard {
     /// Latest report per (user, epoch) — re-sends overwrite.
     // panda-check: allow(unordered_iter): read paths sort (see module doc).
     reports: OrderedRwLock<HashMap<UserId, UserReports>>,
-    /// Reports landed here, added with `Release` after their rows are
-    /// written and read with `Acquire`, so a count never runs ahead of
-    /// the rows a reader can see.
-    n_received: Arc<AtomicU64>,
-    /// Re-sends among them, under the same ordering.
-    n_resends: Arc<AtomicU64>,
+    /// Reports landed here, bumped after their rows are written, so a
+    /// count never runs ahead of the rows a reader can see.
+    n_received: Counter,
+    /// Re-sends among them, bumped the same way.
+    n_resends: Counter,
 }
 
 impl Shard {
@@ -96,8 +94,8 @@ impl Shard {
         Shard {
             // panda-check: allow(unordered_iter): same store as the field.
             reports: OrderedRwLock::new(rank::SERVER_STRIPE, HashMap::new()),
-            n_received: Arc::default(),
-            n_resends: Arc::default(),
+            n_received: Counter::new(),
+            n_resends: Counter::new(),
         }
     }
 }
@@ -191,22 +189,22 @@ impl Server {
     pub fn shard_loads(&self) -> Vec<usize> {
         self.shards
             .iter()
-            .map(|s| s.n_received.load(Ordering::Acquire) as usize)
+            .map(|s| s.n_received.get() as usize)
             .collect()
     }
 
-    /// Adopts the per-stripe landing counters into `registry` under
+    /// Registers the per-stripe landing counters in `registry` under
     /// zero-padded `panda_server_shard_*` names (so the rendered exposition
     /// keeps stripe order under lexicographic sorting).
     pub fn register_metrics(&self, registry: &Registry) {
         for (i, shard) in self.shards.iter().enumerate() {
             registry.register_counter(
                 &format!("panda_server_shard_{i:03}_received_total"),
-                &Counter::reading(Arc::clone(&shard.n_received)),
+                &shard.n_received,
             );
             registry.register_counter(
                 &format!("panda_server_shard_{i:03}_resends_total"),
-                &Counter::reading(Arc::clone(&shard.n_resends)),
+                &shard.n_resends,
             );
         }
     }
@@ -220,9 +218,9 @@ impl Server {
             report.epoch,
             report.cell,
         );
-        shard.n_received.fetch_add(1, Ordering::Release);
+        shard.n_received.inc();
         if report.resend {
-            shard.n_resends.fetch_add(1, Ordering::Release);
+            shard.n_resends.inc();
         }
     }
 
@@ -246,9 +244,9 @@ impl Server {
                 upsert(store.entry(r.user).or_default(), r.epoch, r.cell);
             }
             drop(store);
-            shard.n_received.fetch_add(n as u64, Ordering::Release);
+            shard.n_received.add(n as u64);
             if resends > 0 {
-                shard.n_resends.fetch_add(resends as u64, Ordering::Release);
+                shard.n_resends.add(resends as u64);
             }
         }
     }
@@ -263,16 +261,13 @@ impl Server {
     pub fn n_received(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.n_received.load(Ordering::Acquire) as usize)
+            .map(|s| s.n_received.get() as usize)
             .sum()
     }
 
     /// Number of re-sent reports received, aggregated across shards.
     pub fn n_resends(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.n_resends.load(Ordering::Acquire) as usize)
-            .sum()
+        self.shards.iter().map(|s| s.n_resends.get() as usize).sum()
     }
 
     /// Users that have reported at least once, sorted.
